@@ -97,6 +97,35 @@ void NonSplitBus::tick(Cycle now) {
   tick_finish(now);
 }
 
+Cycle NonSplitBus::next_activity(Cycle now) const {
+  if (transfer_.has_value()) {
+    // remaining hits 0 -- completion and overlapped re-arbitration --
+    // in cycle now + remaining.
+    const Cycle complete = now + transfer_->remaining;
+    return filter_ == nullptr
+               ? complete
+               : std::min(complete, filter_->next_activity(
+                                        0, transfer_->request.master, now));
+  }
+  if (latched_grant_.has_value()) return now + 1;
+  if (filter_ != nullptr) {
+    return filter_->next_activity(pending_bits_, kNoMaster, now);
+  }
+  return pending_bits_ != 0 ? now + 1 : sim::kNever;
+}
+
+void NonSplitBus::skip(Cycle k) {
+  stats_.total_cycles += k;
+  if (transfer_.has_value()) {
+    CBUS_ASSERT(transfer_->remaining > k);
+    stats_.busy_cycles += k;
+    transfer_->remaining -= k;
+  } else {
+    stats_.idle_cycles += k;
+  }
+  if (filter_ != nullptr) filter_->skip(holder(), k);
+}
+
 void NonSplitBus::complete_transfer(Cycle now) {
   const BusRequest done = transfer_->request;
   const Cycle done_hold = transfer_->hold;

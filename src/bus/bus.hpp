@@ -150,6 +150,16 @@ class NonSplitBus final : public sim::Component, public BusPort {
 
   void tick(Cycle now) override;
 
+  /// Quiet until the transfer in flight completes, a latched grant
+  /// starts, or -- idle with requests pending -- one of them is eligible
+  /// to arbitrate; the filter adds its own horizon (see
+  /// EligibilityFilter::next_activity).
+  [[nodiscard]] Cycle next_activity(Cycle now) const override;
+
+  /// Busy/idle/total counters and the transfer countdown fold linearly;
+  /// the filter folds its per-cycle bookkeeping.
+  void skip(Cycle k) override;
+
   // --- phased tick (batched campaigns) ----------------------------------
   // The batch credit engine runs the credit bookkeeping VERTICALLY across
   // lanes, so the bus tick splits around it: tick_begin starts a latched

@@ -108,6 +108,22 @@ class EligibilityFilter {
   virtual void on_remote_occupancy(MasterId /*master*/,
                                    Cycle /*occupancy*/) {}
 
+  /// Quiescence horizon (see sim::Component::next_activity) for a bus
+  /// whose own state holds still after cycle `now`, with `holder` on it
+  /// (kNoMaster: idle) and `pending` waiting to arbitrate (0 while a
+  /// transfer is in flight): the next cycle at which a master in
+  /// `pending` is eligible after that cycle's on_cycle, or at which
+  /// on_cycle(holder) stops being a closed form. sim::kNever when
+  /// neither happens. The default keeps the bus ticking every cycle.
+  [[nodiscard]] virtual Cycle next_activity(std::uint32_t /*pending*/,
+                                            MasterId /*holder*/,
+                                            Cycle now) const {
+    return now + 1;
+  }
+
+  /// Fold `k` cycles of on_cycle(holder), as next_activity allowed.
+  virtual void skip(MasterId /*holder*/, Cycle /*k*/) {}
+
   virtual void reset() = 0;
 };
 

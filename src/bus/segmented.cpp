@@ -186,18 +186,40 @@ void SegmentedInterconnect::tick(Cycle now) {
     bridge.depth_sum += bridge.queue.size();
     bridge.depth_max = std::max(bridge.depth_max, bridge.queue.size());
   }
-  if (config_.bridge_depth > 0) {
-    for (std::uint32_t s = 0; s < n_segments(); ++s) {
-      std::uint32_t blocked = blocked_mask(s);
-      const Segment& seg = segments_[s];
-      while (blocked != 0) {
-        const std::uint32_t local =
-            static_cast<std::uint32_t>(std::countr_zero(blocked));
-        blocked &= blocked - 1;
-        if (seg.bus->has_pending(local)) ++backpressure_stalls_[s];
-      }
-    }
+  add_backpressure_stalls(1);
+}
+
+void SegmentedInterconnect::add_backpressure_stalls(Cycle cycles) {
+  if (config_.bridge_depth == 0) return;
+  for (std::uint32_t s = 0; s < n_segments(); ++s) {
+    const std::uint32_t stalled =
+        blocked_mask(s, segments_[s].bus->pending_mask());
+    backpressure_stalls_[s] +=
+        static_cast<std::uint64_t>(std::popcount(stalled)) * cycles;
   }
+}
+
+Cycle SegmentedInterconnect::next_activity(Cycle now) const {
+  Cycle horizon = sim::kNever;
+  for (const Bridge& bridge : bridges_) {
+    if (bridge.queue.empty()) continue;
+    if (segments_[bridge.to].port_owner[bridge.dest_port] != kNoMaster) {
+      continue;
+    }
+    horizon = std::min(horizon, std::max(bridge.queue.front().ready, now + 1));
+  }
+  for (const Segment& seg : segments_) {
+    if (horizon <= now + 1) break;
+    horizon = std::min(horizon, seg.bus->next_activity(now));
+  }
+  return horizon;
+}
+
+void SegmentedInterconnect::skip(Cycle k) {
+  for (Segment& seg : segments_) seg.bus->skip(k);
+  ticks_ += k;
+  for (Bridge& bridge : bridges_) bridge.depth_sum += bridge.queue.size() * k;
+  add_backpressure_stalls(k);
 }
 
 void SegmentedInterconnect::set_filter(std::uint32_t segment,
@@ -318,13 +340,14 @@ void SegmentedInterconnect::deliver_bridges(Cycle now) {
 }
 
 std::uint32_t SegmentedInterconnect::blocked_mask(
-    std::uint32_t segment) const {
+    std::uint32_t segment, std::uint32_t candidates) const {
   if (config_.bridge_depth == 0) return 0;
   std::uint32_t mask = 0;
   const Segment& seg = segments_[segment];
-  const std::uint32_t n_local =
-      static_cast<std::uint32_t>(seg.port_owner.size());
-  for (std::uint32_t local = 0; local < n_local; ++local) {
+  while (candidates != 0) {
+    const auto local =
+        static_cast<std::uint32_t>(std::countr_zero(candidates));
+    candidates &= candidates - 1;
     const MasterId master = seg.port_owner[local];
     if (master == kNoMaster) continue;
     const InFlight& entry = flight_[master];

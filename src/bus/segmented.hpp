@@ -145,6 +145,16 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
 
   void tick(Cycle now) override;
 
+  /// Quiet until a segment bus is due (its own horizon, filter and
+  /// backpressure mask included) or a bridge head turns ready with its
+  /// ingress port free. A head behind an occupied port waits for that
+  /// port's completion, so a deadlocked ring has no horizon at all.
+  [[nodiscard]] Cycle next_activity(Cycle now) const override;
+
+  /// Folds every segment bus plus the per-cycle accounting: ticked
+  /// cycles, bridge depth sums and backpressure stalls.
+  void skip(Cycle k) override;
+
   /// Install a passive observer of GLOBAL-level activity (nullptr
   /// detaches): on_request at the global raise, on_transfer_start when
   /// the origin hop wins home-segment arbitration (hold = the home
@@ -274,7 +284,7 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     std::uint32_t eligible(std::uint32_t pending, Cycle now) override {
       const std::uint32_t mask =
           user != nullptr ? user->eligible(pending, now) : pending;
-      return mask & ~owner->blocked_mask(segment);
+      return mask & ~owner->blocked_mask(segment, mask);
     }
     void on_cycle(MasterId holder, Cycle now) override {
       if (user != nullptr) user->on_cycle(holder, now);
@@ -284,6 +294,18 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     }
     void on_remote_occupancy(MasterId master, Cycle occupancy) override {
       if (user != nullptr) user->on_remote_occupancy(master, occupancy);
+    }
+    // The backpressure mask only changes at events, so a blocked request
+    // cannot become eligible in a quiet window.
+    Cycle next_activity(std::uint32_t pending, MasterId holder,
+                        Cycle now) const override {
+      const std::uint32_t open =
+          pending & ~owner->blocked_mask(segment, pending);
+      if (user != nullptr) return user->next_activity(open, holder, now);
+      return open != 0 ? now + 1 : sim::kNever;
+    }
+    void skip(MasterId holder, Cycle k) override {
+      if (user != nullptr) user->skip(holder, k);
     }
     void reset() override {
       if (user != nullptr) user->reset();
@@ -336,10 +358,14 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
                  Cycle forced_hold, Cycle now);
   /// Deliver ready bridge entries whose ingress port is free.
   void deliver_bridges(Cycle now);
-  /// Local slots whose occupant's routed next-hop bridge is full (0 when
-  /// bridge_depth is unbounded). Consulted by the SegmentGate at
-  /// arbitration time and by the stall accounting in tick().
-  [[nodiscard]] std::uint32_t blocked_mask(std::uint32_t segment) const;
+  /// One stall master-cycle per pending request withheld by a full
+  /// next-hop bridge, for `cycles` cycles of unchanged state.
+  void add_backpressure_stalls(Cycle cycles);
+  /// The local slots among `candidates` whose occupant's routed next-hop
+  /// bridge is full (0 when bridge_depth is unbounded). Consulted by the
+  /// SegmentGate at arbitration time and by the stall accounting.
+  [[nodiscard]] std::uint32_t blocked_mask(std::uint32_t segment,
+                                           std::uint32_t candidates) const;
   /// Bridge index of directed edge (from -> to); asserts adjacency.
   [[nodiscard]] std::uint32_t bridge_index(std::uint32_t from,
                                            std::uint32_t to) const;

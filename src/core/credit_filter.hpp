@@ -43,6 +43,14 @@ class CreditFilter final : public bus::EligibilityFilter {
     state_.charge(master, occupancy);
   }
 
+  /// The first cycle a pending master reaches its threshold (the tick
+  /// runs before arbitration, so j recovery ticks make it eligible in the
+  /// j-th cycle), or the holder's first clamp cycle.
+  [[nodiscard]] Cycle next_activity(std::uint32_t pending, MasterId holder,
+                                    Cycle now) const override;
+
+  void skip(MasterId holder, Cycle k) override { state_.skip(holder, k); }
+
   void reset() override { state_.reset(); }
 
   [[nodiscard]] CreditState& state() noexcept { return state_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "sim/component.hpp"
 #include "vec/vec.hpp"
 
 namespace cbus::core {
@@ -76,6 +77,37 @@ void CreditState::tick(MasterId holder) {
       ++underflows_by_master_[m];
     }
   }
+}
+
+void CreditState::skip(MasterId holder, Cycle k) {
+  for (MasterId m = 0; m < config_.n_masters; ++m) {
+    const std::uint64_t cap = config_.saturation[m];
+    const std::uint64_t inc = config_.increment[m];
+    if (m == holder) {
+      CBUS_ASSERT(k <= cycles_before_clamp(m));
+      value(m) -= (config_.scale - inc) * k;
+      continue;
+    }
+    // Overflow-safe min(value + inc*k, cap), without a division.
+    std::uint64_t gain = 0;
+    const bool overflow = __builtin_mul_overflow(inc, k, &gain);
+    value(m) = overflow || gain >= cap - value(m) ? cap : value(m) + gain;
+  }
+}
+
+Cycle CreditState::recovery_cycles(MasterId m, std::uint64_t target) const {
+  CBUS_EXPECTS(m < config_.n_masters);
+  if (value(m) >= target) return 0;
+  const std::uint64_t inc = config_.increment[m];
+  if (target > config_.saturation[m] || inc == 0) return sim::kNever;
+  return (target - value(m) + inc - 1) / inc;
+}
+
+Cycle CreditState::cycles_before_clamp(MasterId holder) const {
+  CBUS_EXPECTS(holder < config_.n_masters);
+  // tick() clamps once value + increment < scale, i.e. value < net cost.
+  const std::uint64_t net = config_.scale - config_.increment[holder];
+  return net == 0 ? sim::kNever : value(holder) / net;
 }
 
 void CreditState::charge(MasterId m, Cycle occupancy) {

@@ -65,6 +65,22 @@ class CreditState {
   /// (pass kNoMaster when the bus is idle or arbitrating).
   void tick(MasterId holder);
 
+  /// k ticks of tick(holder) in closed form -- the kernels' quiescence
+  /// fold: recovery saturates (credit = min(credit + increment*k, cap)),
+  /// the holder pays scale - increment per cycle. Precondition: k <=
+  /// cycles_before_clamp(holder) (a clamp is an event, never folded).
+  void skip(MasterId holder, Cycle k);
+
+  /// Idle ticks (no occupancy charge) until master m's budget reaches
+  /// `target` units: 0 when it already has, sim::kNever when the cap
+  /// lies below `target`.
+  [[nodiscard]] Cycle recovery_cycles(MasterId m, std::uint64_t target) const;
+
+  /// Ticks `holder` can hold the bus and pay its full charge before the
+  /// first clamp at zero; sim::kNever when holding costs nothing net
+  /// (increment == scale).
+  [[nodiscard]] Cycle cycles_before_clamp(MasterId holder) const;
+
   /// Burst debit of `occupancy` cycles against master m's budget (at
   /// `scale` units per cycle), clamping at zero like the hardware
   /// counter and counting the clamp. Used by the segmented interconnect

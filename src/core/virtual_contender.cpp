@@ -21,9 +21,7 @@ VirtualContender::VirtualContender(const VirtualContenderConfig& config,
 
 bool VirtualContender::budget_full() const {
   if (credits_ == nullptr) return true;
-  const MasterId slot =
-      config_.credit_slot == kNoMaster ? config_.self : config_.credit_slot;
-  return credits_->saturated(slot);
+  return credits_->saturated(credit_slot());
 }
 
 void VirtualContender::tick(Cycle now) {
@@ -43,6 +41,24 @@ void VirtualContender::tick(Cycle now) {
     req.forced_hold = config_.hold;  // keep the bus busy for MaxL cycles
     bus_.request(req, now);
   }
+}
+
+Cycle VirtualContender::next_activity(Cycle now) const {
+  const bool latched =
+      comp_ || config_.policy == ContenderPolicy::kAlwaysCompete;
+  if (latched) return bus_.can_request(config_.self) ? now + 1 : sim::kNever;
+  if (!bus_.has_pending(config_.tua)) return sim::kNever;
+  if (credits_ == nullptr) return now + 1;
+  // Cycle now + 1 + j reads BUDGi after j more recovery ticks. Holding
+  // the bus only lowers BUDGi, so assuming recovery is early, never late.
+  const MasterId slot = credit_slot();
+  return sim::horizon_after(
+      now + 1,
+      credits_->recovery_cycles(slot, credits_->config().saturation[slot]));
+}
+
+void VirtualContender::skip(Cycle /*k*/) {
+  if (config_.policy == ContenderPolicy::kAlwaysCompete) comp_ = true;
 }
 
 void VirtualContender::on_grant(const bus::BusRequest& /*request*/,

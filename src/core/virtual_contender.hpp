@@ -53,6 +53,15 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
 
   void tick(Cycle now) override;
 
+  /// Quiet while its request is pending or holding the bus; otherwise
+  /// due next cycle -- except a COMP-latch contender waiting for its
+  /// budget to saturate (the TuA pending), which wakes on the cycle it
+  /// first reads BUDGi at the cap.
+  [[nodiscard]] Cycle next_activity(Cycle now) const override;
+
+  /// A quiet always-compete tick only re-asserts COMP.
+  void skip(Cycle k) override;
+
   void on_grant(const bus::BusRequest& request, Cycle now,
                 Cycle hold) override;
   void on_complete(const bus::BusRequest& request, Cycle now) override;
@@ -62,6 +71,10 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
 
  private:
   [[nodiscard]] bool budget_full() const;
+  [[nodiscard]] MasterId credit_slot() const noexcept {
+    return config_.credit_slot == kNoMaster ? config_.self
+                                            : config_.credit_slot;
+  }
 
   VirtualContenderConfig config_;
   bus::BusPort& bus_;

@@ -149,6 +149,43 @@ void InOrderCore::tick(Cycle now) {
   CBUS_ASSERT(false);
 }
 
+Cycle InOrderCore::next_activity(Cycle now) const {
+  if (done_ || waiting_ != Wait::kNone) return sim::kNever;
+  // A buffered store not yet on the bus tries to drain every cycle.
+  if (!store_buffer_.empty() && !store_in_flight_) return now + 1;
+  if (compute_remaining_ > 0) return now + 1 + compute_remaining_;
+  // From here on every quiet case is a stall behind the store in flight.
+  if (!store_in_flight_) return now + 1;
+  if (!current_op_.has_value()) return sim::kNever;
+  switch (current_op_->kind) {
+    case MemOpKind::kLoad:
+      return miss_recorded_ && !store_buffer_.contains_line(
+                                   current_op_->addr, config_.dl1.line_bytes)
+                 ? sim::kNever
+                 : now + 1;
+    case MemOpKind::kStore:
+      return store_buffer_.full() ? sim::kNever : now + 1;
+    case MemOpKind::kAtomic:
+      return sim::kNever;
+  }
+  return now + 1;
+}
+
+void InOrderCore::skip(Cycle k) {
+  if (done_) return;
+  stats_.cycles += k;
+  if (waiting_ == Wait::kNone && compute_remaining_ > 0) {
+    CBUS_ASSERT(compute_remaining_ >= k);
+    compute_remaining_ -= static_cast<std::uint32_t>(k);
+    stats_.compute_cycles += k;
+  } else if (waiting_ == Wait::kNone && current_op_.has_value() &&
+             current_op_->kind == MemOpKind::kStore) {
+    stats_.sb_stall_cycles += k;
+  } else {
+    stats_.bus_stall_cycles += k;
+  }
+}
+
 void InOrderCore::on_grant(const bus::BusRequest& /*request*/, Cycle /*now*/,
                            Cycle /*hold*/) {}
 

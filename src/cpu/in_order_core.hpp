@@ -39,6 +39,14 @@ class InOrderCore final : public sim::Component, public bus::BusMaster {
 
   void tick(Cycle now) override;
 
+  /// Quiet through a compute countdown (due the cycle after it ends) and
+  /// indefinitely while blocked on the bus or a full store buffer with a
+  /// drain in flight -- those wake through on_complete.
+  [[nodiscard]] Cycle next_activity(Cycle now) const override;
+
+  /// Cycle and stall/compute counters fold linearly.
+  void skip(Cycle k) override;
+
   void on_grant(const bus::BusRequest& request, Cycle now,
                 Cycle hold) override;
   void on_complete(const bus::BusRequest& request, Cycle now) override;

@@ -453,15 +453,16 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     const Slice slice = slice_of(s);
     const auto slice_start = std::chrono::steady_clock::now();
     std::optional<SliceState> state;
+    platform::KernelCycles cycles;
     if (spec.retain_raw) {
-      platform::run_campaign_slice(
+      cycles = platform::run_campaign_slice(
           plans[slice.job].campaign, slice.first,
           std::span<platform::RunOutcome>(plans[slice.job].outcomes)
               .subspan(slice.first, slice.count));
     } else {
       std::vector<platform::RunOutcome> outcomes(slice.count);
-      platform::run_campaign_slice(plans[slice.job].campaign, slice.first,
-                                   outcomes);
+      cycles = platform::run_campaign_slice(plans[slice.job].campaign,
+                                            slice.first, outcomes);
       state.emplace();
       state->slice = static_cast<std::uint32_t>(s);
       state->job = static_cast<std::uint32_t>(slice.job);
@@ -488,6 +489,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     ++telemetry.slices_done;
     telemetry.runs_done += slice.count;
     telemetry.slice_wall_ms.add(slice_ms);
+    telemetry.executed_cycles += cycles.executed;
+    telemetry.simulated_cycles += cycles.simulated;
     if (meter.has_value()) {
       meter->update(telemetry.runs_done, telemetry.slices_done);
     }

@@ -42,6 +42,8 @@ void write_telemetry_json(std::ostream& out, const Telemetry& t,
   }
   out << "}";
   out << ",\n  \"peak_rss_kb\": " << t.peak_rss_kb;
+  out << ",\n  \"kernel\": {\"executed_cycles\": " << t.executed_cycles
+      << ", \"simulated_cycles\": " << t.simulated_cycles << "}";
   out << "\n}\n";
 }
 

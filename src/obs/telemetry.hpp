@@ -31,6 +31,10 @@ struct Telemetry {
   stats::LogHistogram slice_wall_ms;
   /// Peak resident set size of the process, in KiB (getrusage).
   long peak_rss_kb = 0;
+  /// Lane-cycles the kernels ticked vs simulated (ticked + skipped as
+  /// quiet), summed over this invocation's slices.
+  std::uint64_t executed_cycles = 0;
+  std::uint64_t simulated_cycles = 0;
 
   [[nodiscard]] double runs_per_sec() const noexcept {
     return wall_seconds > 0.0

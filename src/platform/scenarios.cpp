@@ -82,13 +82,15 @@ std::uint64_t CampaignResult::credit_underflows() const {
       aggregate.element_sum("credit.underflows"));
 }
 
-void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
-                        std::span<RunOutcome> outcomes) {
+KernelCycles run_campaign_slice(const CampaignSpec& spec,
+                                std::uint32_t first_run,
+                                std::span<RunOutcome> outcomes) {
   const PlatformConfig config = resolve_campaign_config(spec);
   CBUS_EXPECTS_MSG(spec.tua_factory != nullptr,
                    "run_campaign_slice needs the stream-factory form");
   CBUS_EXPECTS(first_run + outcomes.size() <= spec.runs);
-  if (outcomes.empty()) return;
+  KernelCycles cycles;
+  if (outcomes.empty()) return cycles;
   const std::size_t lanes = outcomes.size();
 
   // Per-run seeds: the run_seed(base_seed, i) sequence, i.e. exactly the
@@ -169,8 +171,10 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
       RunResult run = r.machine->harvest(fired[0], single.now());
       outcomes[lane].finished = run.tua_finished;
       outcomes[lane].record = std::move(run.record);
+      cycles.executed += single.executed_cycles();
+      cycles.simulated += single.simulated_cycles();
     }
-    return;
+    return cycles;
   }
 
   sim::BatchKernel batch(lanes, sim::BatchKernel::kCampaignStripe);
@@ -187,6 +191,7 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
     outcomes[lane].finished = r.tua_finished;
     outcomes[lane].record = std::move(r.record);
   }
+  return KernelCycles{batch.executed_cycles(), batch.simulated_cycles()};
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec) {

@@ -136,14 +136,23 @@ struct CampaignResult {
 /// (kIsolation forces operation mode itself).
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec);
 
+/// Lane-cycles a slice's kernel ticked vs simulated (ticked + skipped as
+/// quiet): how much the quiescence skip saved. Runner telemetry only --
+/// never part of a run's outcome.
+struct KernelCycles {
+  std::uint64_t executed = 0;
+  std::uint64_t simulated = 0;
+};
+
 /// Run the contiguous slice of runs [first_run, first_run +
 /// outcomes.size()) as ONE lockstep batch, writing each run's outcome in
 /// order. Factory form only. This is run_campaign's unit of work,
 /// exposed so exp::run_experiment can schedule slices from many sweep
 /// jobs onto one thread pool; folding outcomes in run order yields the
 /// serial aggregate bit-identically.
-void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
-                        std::span<RunOutcome> outcomes);
+KernelCycles run_campaign_slice(const CampaignSpec& spec,
+                                std::uint32_t first_run,
+                                std::span<RunOutcome> outcomes);
 
 /// Per-run seed derivation (public so tests can reproduce single runs).
 [[nodiscard]] std::uint64_t run_seed(std::uint64_t base_seed,

@@ -1,7 +1,5 @@
 #include "sim/batch_kernel.hpp"
 
-#include <algorithm>
-
 #include "common/contracts.hpp"
 
 namespace cbus::sim {
@@ -27,60 +25,7 @@ std::size_t BatchKernel::lane_component_count(std::size_t lane) const {
   return lane_components_[lane].size();
 }
 
-std::vector<bool> BatchKernel::run_until(
-    const std::function<bool(std::size_t lane)>& done, Cycle max_cycles) {
-  CBUS_EXPECTS(done != nullptr);
-  if (stage_ != nullptr) return run_until_staged(done, max_cycles);
-  const std::size_t slots = lane_components_.front().size();
-  for (const auto& lane : lane_components_) {
-    CBUS_EXPECTS_MSG(lane.size() == slots,
-                     "lanes are replicas: equal component counts required");
-  }
-
-  std::vector<bool> fired(lanes(), false);
-  std::vector<std::size_t> live(lanes());
-  for (std::size_t l = 0; l < lanes(); ++l) live[l] = l;
-
-  while (!live.empty() && clock_.now() < max_cycles) {
-    const Cycle base = clock_.now();
-    const Cycle stripe = std::min(stripe_, max_cycles - base);
-    // Each live lane runs the whole stripe before the next lane starts:
-    // its data stays cache-hot across the stripe, while lanes still
-    // advance through the same cycle window together. erase_if keeps lane
-    // order, so the iteration is deterministic (not that lanes could tell
-    // -- they share no state).
-    std::erase_if(live, [&](std::size_t l) {
-      const std::vector<Component*>& components = lane_components_[l];
-      for (Cycle c = 0; c < stripe; ++c) {
-        const Cycle now = base + c;
-        for (Component* component : components) component->tick(now);
-        // The run_until contract: polled once after every executed cycle.
-        if (done(l)) {
-          fired[l] = true;
-          return true;
-        }
-      }
-      return false;
-    });
-    // The clock tracks cycles every still-live lane completed; once all
-    // lanes have fired it stops (advancing would claim cycles no lane
-    // executed).
-    if (live.empty()) break;
-    for (Cycle c = 0; c < stripe; ++c) clock_.advance();
-  }
-  return fired;
-}
-
-std::vector<bool> BatchKernel::run_until_staged(
-    const std::function<bool(std::size_t lane)>& done, Cycle max_cycles) {
-  // Cycle-major lockstep: every live lane executes cycle c (pre
-  // components, then the shared stage across all lanes, then post
-  // components) before any lane sees c+1. Per lane the observable tick
-  // sequence and the done() polling (once after every executed cycle)
-  // are exactly the serial kernel's -- lanes share no state, so the
-  // cross-lane interleave inside a cycle is free. The clock advances per
-  // executed cycle; as in the striped loop it freezes once every lane
-  // has fired, and unfinished lanes stop exactly at max_cycles.
+void BatchKernel::expect_replicas() const {
   const std::size_t pre_slots = lane_components_.front().size();
   const std::size_t post_slots = post_components_.front().size();
   for (std::size_t l = 0; l < lanes(); ++l) {
@@ -88,31 +33,12 @@ std::vector<bool> BatchKernel::run_until_staged(
                          post_components_[l].size() == post_slots,
                      "lanes are replicas: equal component counts required");
   }
+}
 
-  std::vector<bool> fired(lanes(), false);
+std::vector<std::size_t> BatchKernel::all_lanes() const {
   std::vector<std::size_t> live(lanes());
   for (std::size_t l = 0; l < lanes(); ++l) live[l] = l;
-
-  while (!live.empty() && clock_.now() < max_cycles) {
-    const Cycle now = clock_.now();
-    for (const std::size_t l : live) {
-      for (Component* component : lane_components_[l]) component->tick(now);
-    }
-    stage_->on_cycle(now, live);
-    for (const std::size_t l : live) {
-      for (Component* component : post_components_[l]) component->tick(now);
-    }
-    std::erase_if(live, [&](std::size_t l) {
-      if (done(l)) {
-        fired[l] = true;
-        return true;
-      }
-      return false;
-    });
-    if (live.empty()) break;
-    clock_.advance();
-  }
-  return fired;
+  return live;
 }
 
 }  // namespace cbus::sim

@@ -4,7 +4,8 @@
 // interact, so the only thing a batch changes is the *iteration order*:
 // instead of running replica 0 to completion, then replica 1, ..., every
 // live lane advances through the same cycle window before any lane moves
-// past it. Lanes therefore stay within one stripe of each other, batches
+// past it. Lanes therefore stay within one stripe of each other (unless a
+// quiet lane jumps ahead, see below), batches
 // of lanes can be spread across worker threads, and batch-shared state
 // (the core::CreditSoA credit arena) stays contiguous.
 //
@@ -16,6 +17,16 @@
 // already instruction-cache-hot) and costs 5-10% in data-cache misses,
 // so campaign slices use a coarse stripe (kCampaignStripe).
 //
+// Quiet cycles are skipped per lane exactly as in the serial Kernel (see
+// sim::Component): after each executed cycle a lane jumps to its
+// components' earliest horizon, clamped to max_cycles; the skipped cycles
+// are pure countdowns the components fold, a component without a horizon
+// is ticked every cycle, and predicates are polled after executed cycles
+// only. A jump may carry a lane past the current stripe; it then sits
+// out the stripes it skipped, so lanes run on their own clocks and the
+// batch clock only marks stripe bases. The staged (engine) loop below
+// executes every cycle.
+//
 // Determinism: lanes share no state, so a lane's components observe
 // exactly the tick sequence a serial Kernel would deliver -- any stripe,
 // any lane count. A lane retires the moment its predicate fires (checked
@@ -25,14 +36,16 @@
 // tests/test_exp.cpp locks byte-for-byte.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/types.hpp"
 #include "sim/clock.hpp"
 #include "sim/component.hpp"
+#include "sim/kernel.hpp"
 
 namespace cbus::sim {
 
@@ -92,28 +105,134 @@ class BatchKernel {
 
   /// Cycles every still-live lane has completed; lanes advance through
   /// the same stripes, so one clock serves the whole batch. (A lane that
-  /// fired mid-stripe stopped at its own earlier cycle; a lane that ran
-  /// out of budget stopped exactly here. Once every lane has fired the
-  /// clock freezes at the final stripe's base.)
+  /// fired mid-stripe stopped at its own earlier cycle; a quiet lane may
+  /// have jumped past it; a lane that ran out of budget stopped exactly
+  /// here. Once every lane has fired the clock freezes at the final
+  /// stripe's base.)
   [[nodiscard]] Cycle now() const noexcept { return clock_.now(); }
 
   /// Advance every live lane until its `done(lane)` fires or `max_cycles`
   /// elapse; returns the per-lane fired flags. Per lane the predicate is
   /// evaluated exactly once after every cycle that lane executed (the
-  /// Kernel::run_until contract); a fired lane retires immediately and is
-  /// neither ticked nor re-polled.
-  [[nodiscard]] std::vector<bool> run_until(
-      const std::function<bool(std::size_t lane)>& done, Cycle max_cycles);
+  /// Kernel::run_until contract; skipped quiet cycles are not polled); a
+  /// fired lane retires immediately and is neither ticked nor re-polled.
+  /// Any callable `bool(std::size_t)` is accepted; a null one throws.
+  template <class Done>
+  [[nodiscard]] std::vector<bool> run_until(const Done& done,
+                                            Cycle max_cycles) {
+    expect_predicate(done);
+    if (stage_ != nullptr) return run_until_staged(done, max_cycles);
+    expect_replicas();
+
+    const Cycle start = clock_.now();
+    std::vector<bool> fired(lanes(), false);
+    std::vector<std::size_t> live = all_lanes();
+    // Per-lane clock: the next cycle the lane executes.
+    std::vector<Cycle> lane_now(lanes(), start);
+    while (!live.empty() && clock_.now() < max_cycles) {
+      const Cycle base = clock_.now();
+      const Cycle end = base + std::min(stripe_, max_cycles - base);
+      // Each live lane runs the whole stripe before the next lane starts:
+      // its data stays cache-hot across the stripe, while lanes still
+      // advance through the same cycle window together. erase_if keeps
+      // lane order, so the iteration is deterministic (not that lanes
+      // could tell -- they share no state).
+      std::erase_if(live, [&](std::size_t l) {
+        const std::vector<Component*>& components = lane_components_[l];
+        Cycle& t = lane_now[l];
+        while (t < end) {
+          for (Component* component : components) component->tick(t);
+          ++executed_;
+          // The run_until contract: polled once after every executed
+          // cycle.
+          if (done(l)) {
+            fired[l] = true;
+            simulated_ += t + 1 - start;
+            return true;
+          }
+          t = quiesce(components, t, max_cycles);
+        }
+        return false;
+      });
+      // The clock tracks stripes every still-live lane completed; once
+      // all lanes have fired it stops (advancing would claim cycles no
+      // lane executed).
+      if (live.empty()) break;
+      clock_.advance(end - base);
+    }
+    for (const std::size_t l : live) simulated_ += lane_now[l] - start;
+    return fired;
+  }
+  std::vector<bool> run_until(std::nullptr_t, Cycle) {
+    CBUS_EXPECTS_MSG(false, "run_until needs a done predicate");
+    return {};
+  }
+
+  /// Lane-cycles actually ticked, summed over lanes and run_until calls.
+  [[nodiscard]] std::uint64_t executed_cycles() const noexcept {
+    return executed_;
+  }
+  /// Lane-cycles simulated (executed + skipped): per lane, the cycles up
+  /// to its retirement or max_cycles.
+  [[nodiscard]] std::uint64_t simulated_cycles() const noexcept {
+    return simulated_;
+  }
 
  private:
-  [[nodiscard]] std::vector<bool> run_until_staged(
-      const std::function<bool(std::size_t lane)>& done, Cycle max_cycles);
+  template <class Done>
+  [[nodiscard]] std::vector<bool> run_until_staged(const Done& done,
+                                                   Cycle max_cycles) {
+    // Cycle-major lockstep: every live lane executes cycle c (pre
+    // components, then the shared stage across all lanes, then post
+    // components) before any lane sees c+1. Per lane the observable tick
+    // sequence and the done() polling (once after every executed cycle)
+    // are exactly the serial kernel's -- lanes share no state, so the
+    // cross-lane interleave inside a cycle is free. No cycle is skipped:
+    // the stage has no horizon. The clock advances per executed cycle;
+    // as in the striped loop it freezes once every lane has fired, and
+    // unfinished lanes stop exactly at max_cycles.
+    expect_replicas();
+    std::vector<bool> fired(lanes(), false);
+    std::vector<std::size_t> live = all_lanes();
+    while (!live.empty() && clock_.now() < max_cycles) {
+      const Cycle now = clock_.now();
+      for (const std::size_t l : live) {
+        for (Component* component : lane_components_[l]) {
+          component->tick(now);
+        }
+      }
+      stage_->on_cycle(now, live);
+      for (const std::size_t l : live) {
+        for (Component* component : post_components_[l]) {
+          component->tick(now);
+        }
+      }
+      executed_ += live.size();
+      simulated_ += live.size();
+      std::erase_if(live, [&](std::size_t l) {
+        if (done(l)) {
+          fired[l] = true;
+          return true;
+        }
+        return false;
+      });
+      if (live.empty()) break;
+      clock_.advance();
+    }
+    return fired;
+  }
+
+  /// Lanes are replicas of one platform: equal component counts.
+  void expect_replicas() const;
+  [[nodiscard]] std::vector<std::size_t> all_lanes() const;
 
   std::vector<std::vector<Component*>> lane_components_;
   std::vector<std::vector<Component*>> post_components_;
   BatchStage* stage_ = nullptr;
   Cycle stripe_;
   Clock clock_;
+  std::uint64_t executed_ = 0;
+  std::uint64_t simulated_ = 0;
 };
 
 }  // namespace cbus::sim

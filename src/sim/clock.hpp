@@ -13,6 +13,9 @@ class Clock {
 
   void advance() noexcept { ++now_; }
 
+  /// Jump `cycles` ahead (the kernels' quiescence skip).
+  void advance(Cycle cycles) noexcept { now_ += cycles; }
+
   void reset() noexcept { now_ = 0; }
 
  private:

@@ -1,27 +1,33 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
+
 namespace cbus::sim {
+
+Cycle quiesce(std::span<Component* const> components, Cycle now,
+              Cycle limit) {
+  const Cycle next = now + 1;
+  Cycle horizon = limit;
+  for (const Component* component : components) {
+    // Early out: one component due next cycle rules out any jump.
+    if (horizon <= next) return next;
+    horizon = std::min(horizon, component->next_activity(now));
+  }
+  if (horizon <= next) return next;
+  const Cycle quiet = horizon - next;
+  for (Component* component : components) component->skip(quiet);
+  return horizon;
+}
 
 void Kernel::step() {
   const Cycle now = clock_.now();
   for (Component* component : components_) component->tick(now);
   clock_.advance();
+  ++executed_;
 }
 
 void Kernel::run(Cycle cycles) {
-  for (Cycle i = 0; i < cycles; ++i) step();
-}
-
-bool Kernel::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  CBUS_EXPECTS(done != nullptr);
-  // Contract: `done` is evaluated exactly once after every executed cycle
-  // and never before the first one, so a side-effecting predicate counts
-  // executed cycles. BatchKernel::run_until matches this per lane.
-  for (Cycle i = 0; i < max_cycles; ++i) {
-    step();
-    if (done()) return true;
-  }
-  return false;
+  (void)run_until([] { return false; }, cycles);
 }
 
 }  // namespace cbus::sim
