@@ -172,8 +172,8 @@ BENCHMARK(BM_CampaignBatch)
 // The same campaign at E7's widest point (8 cores: the TuA against 7
 // greedy MaxL contenders). The per-cycle Table-I work grows with the
 // master count while the TuA's own compute does not, so this is the
-// credit-bound end of the campaign spectrum -- the case the vectorized
-// engine targets. Args are {batch, threads}.
+// credit-bound end of the campaign spectrum, where quiet credit-recovery
+// cycles dominate. Args are {batch, threads}.
 void BM_CampaignBatchWide(benchmark::State& state) {
   const auto batch = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<std::uint32_t>(state.range(1));

@@ -28,10 +28,15 @@
 // clamp events are routed back to each lane's CreditState so the
 // underflow accounting matches the scalar path to the count.
 //
-// Scope: the single NonSplitBus topology only (segmented and split
-// protocols keep the classic lane-major path this PR), <= 64 lanes
-// (masks are single words), CBA configured. run_campaign_slice gates on
-// exactly these conditions plus vec::engine_enabled().
+// Scope: the single NonSplitBus topology only, <= 64 lanes (masks are
+// single words), CBA configured.
+//
+// Not a production path: the engine executes every cycle, while the
+// classic striped BatchKernel loop skips quiet ones, so
+// run_campaign_slice never builds it -- every campaign takes the
+// skipping path. The engine is kept only for perfbench's traced replica
+// (perfbench/harness/traced.cpp) and the engine-vs-classic parity test
+// (EngineParity.* in tests/test_vec.cpp).
 #pragma once
 
 #include <cstdint>

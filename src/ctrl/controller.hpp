@@ -155,9 +155,9 @@ class StaticController final : public CreditController {
 
 /// Epoch-driven explicit-rate feedback over the credit increments.
 ///
-/// Ticks after the bus every cycle; every window/16 cycles it samples
-/// per-master demand (the delta of wait+hold cycles from `bus_stats`, a
-/// direct "cycles this master wanted the bus" signal) into its
+/// Ticks after the bus; every window/16 cycles it samples per-master
+/// demand (the delta of wait+hold cycles from `bus_stats`, a direct
+/// "cycles this master wanted the bus" signal) into its
 /// obs::DemandWindow, and every `window` cycles it runs one epoch:
 /// water-fill, mix, integerize, write the increments back through
 /// core::CreditState::set_increment.
@@ -171,6 +171,15 @@ class AdaptiveController final : public CreditController {
                      const bus::BusStatistics& bus_stats);
 
   void tick(Cycle now) override;
+
+  /// The next sample (or epoch) edge. Every tick before it only counts
+  /// down, and the bus statistics it samples change only when a grant
+  /// latches or a transfer starts -- executed cycles -- so skipping to
+  /// the edge is exact.
+  [[nodiscard]] Cycle next_activity(Cycle now) const override {
+    return now + sample_countdown_;
+  }
+  void skip(Cycle k) override { sample_countdown_ -= k; }
 
   [[nodiscard]] ControllerKind kind() const noexcept override {
     return ControllerKind::kAdaptive;

@@ -75,7 +75,10 @@ class Multicore {
   /// per-lane VirtualContender components are built (the engine's
   /// contender bank replaces them) and the bus is ticked by the engine,
   /// not the kernel. Such a machine runs ONLY via attach() on a staged
-  /// BatchKernel -- run()/run_all() assert.
+  /// BatchKernel -- run()/run_all() assert. Campaigns never pass an
+  /// engine (they always take the quiescence-skipping path); the
+  /// argument is kept for perfbench's traced replica and the
+  /// engine-vs-classic parity test.
   Multicore(const PlatformConfig& config, std::uint64_t seed,
             cpu::OpStream& tua,
             const std::vector<cpu::OpStream*>& contenders = {},

@@ -7,11 +7,9 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "core/batch_engine.hpp"
 #include "core/credit_state.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/batch_kernel.hpp"
-#include "vec/vec.hpp"
 
 namespace cbus::platform {
 
@@ -99,27 +97,14 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
   for (std::uint32_t i = 0; i < first_run; ++i) (void)mix.next();
 
   // One contiguous credit arena for the whole batch (SoA across lanes).
-  // Segmented topologies widen each lane by the bridge-port slots.
+  // Segmented topologies widen each lane by the bridge-port slots. Every
+  // slice runs on the striped, quiescence-skipping BatchKernel loop below;
+  // the staged core::BatchCreditEngine ticks every cycle and is kept only
+  // for perfbench's traced replica and its parity test.
   std::unique_ptr<core::CreditSoA> credit;
   if (config.cba.has_value()) {
     credit = std::make_unique<core::CreditSoA>(lanes, *config.cba,
                                                config.credit_slots());
-  }
-
-  // Vectorized fast path (see core::BatchCreditEngine): CBA on the
-  // single non-split bus, uninstrumented, masks fit one word. Everything
-  // else keeps the classic lane-major stripes -- as does CBUS_SIMD=off,
-  // which is how the dispatch-parity matrix pins the two paths
-  // byte-for-byte against each other.
-  std::unique_ptr<core::BatchCreditEngine> engine;
-  // lanes >= 2: a single-lane stripe is the serial reference point -- the
-  // vertical engine would only add per-cycle dispatch overhead there, so
-  // batch 1 (and a trailing 1-lane tail stripe) keeps the classic path.
-  if (!spec.instrument && credit != nullptr && !config.topology.segmented() &&
-      config.bus_protocol == BusProtocol::kNonSplit && lanes >= 2 &&
-      lanes <= 64 && vec::engine_enabled()) {
-    engine = std::make_unique<core::BatchCreditEngine>(*credit, *config.cba,
-                                                       lanes);
   }
 
   struct Lane {
@@ -148,8 +133,7 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
     }
     r.machine = std::make_unique<Multicore>(
         config, seed, *r.tua, corunner_ptrs,
-        credit ? credit->lane(lane) : core::CreditLaneView{}, engine.get(),
-        lane);
+        credit ? credit->lane(lane) : core::CreditLaneView{});
   }
 
   if (spec.instrument) {
@@ -181,7 +165,6 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     replicas[lane].machine->attach(batch, lane);
   }
-  if (engine != nullptr) batch.set_stage(*engine);
 
   const std::vector<bool> fired = batch.run_until(
       [&](std::size_t lane) { return replicas[lane].machine->tua_done(); },

@@ -24,8 +24,10 @@
 // is ticked every cycle, and predicates are polled after executed cycles
 // only. A jump may carry a lane past the current stripe; it then sits
 // out the stripes it skipped, so lanes run on their own clocks and the
-// batch clock only marks stripe bases. The staged (engine) loop below
-// executes every cycle.
+// batch clock only marks stripe bases. This striped, skipping loop is
+// the only campaign path: run_campaign_slice installs no stage. The
+// staged (engine) loop below executes every cycle and is kept only for
+// perfbench's traced replica and the engine-vs-classic parity test.
 //
 // Determinism: lanes share no state, so a lane's components observe
 // exactly the tick sequence a serial Kernel would deliver -- any stripe,

@@ -18,7 +18,7 @@
 // so horizons computed after the executed cycle stay valid across the
 // jump; stop predicates are polled after executed cycles only. A
 // component without a horizon keeps the default `now + 1` and is ticked
-// every cycle (tracers, the split bus, the adaptive controller).
+// every cycle (tracers, the split bus).
 #pragma once
 
 #include <limits>

@@ -96,14 +96,12 @@ const Kernels& configured_kernels() noexcept {
 
 std::atomic<bool> g_force_scalar{false};
 
-constexpr bool kEngineDefault =
+constexpr bool kEngineEnabled =
 #if defined(CBUS_SIMD_OFF)
     false;
 #else
     true;
 #endif
-
-std::atomic<bool> g_engine_enabled{kEngineDefault};
 
 const Kernels& active_kernels() noexcept {
   return g_force_scalar.load(std::memory_order_relaxed)
@@ -129,13 +127,7 @@ const char* active_isa() noexcept {
              : configured_isa();
 }
 
-bool engine_enabled() noexcept {
-  return detail::g_engine_enabled.load(std::memory_order_relaxed);
-}
-
-void set_engine_enabled(bool on) noexcept {
-  detail::g_engine_enabled.store(on, std::memory_order_relaxed);
-}
+bool engine_enabled() noexcept { return detail::kEngineEnabled; }
 
 void force_scalar(bool on) noexcept {
   detail::g_force_scalar.store(on, std::memory_order_relaxed);

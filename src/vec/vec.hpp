@@ -10,13 +10,17 @@
 // most one guarded ISA implementation selected at configure time via
 // the CBUS_SIMD=auto|off|avx2|avx512|neon CMake option:
 //
-//   off    -- no vec kernels are used at all: the campaign driver keeps
-//             the classic lane-major BatchKernel path (the build
+//   off    -- no vec kernels are used at all (the build
 //             `cbus_sim --version` reports and the CI dispatch-parity
 //             leg compares against).
-//   scalar -- the engine path with the portable kernels (auto resolves
-//             here when the build host has no supported ISA).
-//   avx2 / avx512 / neon -- the engine path with vertical kernels.
+//   scalar -- the portable kernels (auto resolves here when the build
+//             host has no supported ISA).
+//   avx2 / avx512 / neon -- vertical kernels.
+//
+// Campaigns always take the classic quiescence-skipping BatchKernel
+// path, whatever the dispatch; on it only argmax_i64 (the deficit-age
+// arbiter) is called. The credit kernels serve the batch credit engine,
+// which is kept only for perfbench's traced replica and its parity test.
 //
 // Bit-identity contract: for every input, every ISA implementation
 // returns exactly the scalar result -- the campaign byte-equality
@@ -37,9 +41,8 @@ namespace cbus::vec {
 inline constexpr std::size_t kLaneAlign = 8;
 
 /// One counter-major row (slot m across all lanes) for the Table-I
-/// per-cycle update. Bit l of the masks refers to lane l; lanes >= 64
-/// never reach the engine (the campaign driver falls back to the
-/// classic path).
+/// per-cycle update. Bit l of the masks refers to lane l; the engine
+/// serves at most 64 lanes.
 ///
 /// `n` is the LIVE lane count; rows are allocated in kLaneAlign units,
 /// and vector kernels may load (and blend-store back unchanged) the
@@ -96,15 +99,9 @@ struct SatQuery {
 [[nodiscard]] const char* active_isa() noexcept;
 
 /// True iff the batched credit engine is enabled (configured to
-/// anything but "off", unless overridden by set_engine_enabled). The
-/// campaign driver consults this to pick engine vs classic path.
+/// anything but "off"). Campaigns do not consult it; perfbench's traced
+/// replica does.
 [[nodiscard]] bool engine_enabled() noexcept;
-
-/// Test hook: override the engine on/off decision at runtime, so one
-/// binary can run the same campaign through both the engine and the
-/// classic path and compare bytes. Pass the value of engine_enabled()
-/// captured at startup to restore the default.
-void set_engine_enabled(bool on) noexcept;
 
 /// Test hook: route every kernel through the portable scalar
 /// implementation (true) or the configured ISA (false, default).

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Dispatch-parity check: the same campaigns run under --simd native (the
-# configured ISA + batch credit engine), --simd scalar (engine with the
-# portable kernels) and --simd off (the classic lane-major path, what a
-# CBUS_SIMD=off build runs) must produce byte-identical output -- stdout,
-# CSV and streaming JSON alike. This is the local half of the contract;
-# the CI dispatch-parity leg repeats it across two separately configured
-# builds (CBUS_SIMD=off vs the widest ISA) with cmp.
+# configured ISA), --simd scalar and --simd off (what a CBUS_SIMD=off
+# build runs) must produce byte-identical output -- stdout, CSV and
+# streaming JSON alike. Every campaign takes the quiescence-skipping path
+# in all three modes; scalar and off only answer the vec kernels (the
+# deficit-age argmax) with the portable code. The batch credit engine is
+# off the campaign path, so engine-vs-classic parity lives in
+# EngineParity.* (tests/test_vec.cpp) and perfbench's traced-vs-untraced
+# check. This is the local half of the contract; the CI dispatch-parity
+# leg repeats it across two separately configured builds (CBUS_SIMD=off
+# vs the widest ISA) with cmp.
 #
 # Usage: dispatch_parity_test.sh CBUS_SIM SMOKE_EXP STREAM_EXP
 set -euo pipefail
@@ -21,7 +25,7 @@ for mode in native scalar off; do
   dir="$work/$mode"
   mkdir "$dir"
   cd "$dir"
-  # Threads x batch exercises the sliced engine path; batch 4 with 5
+  # Threads x batch exercises the sliced campaign path; batch 4 with 5
   # runs also covers the tail stripe (5 % 4 != 0).
   "$sim" --experiment "$smoke" --simd "$mode" --threads 2 --batch 4 \
     > stdout_smoke.txt

@@ -375,6 +375,26 @@ TEST(Runner, BatchSlicesShareThePoolAcrossJobs) {
   EXPECT_EQ(wide.jobs[0].campaign.exec_time().count(), 8u);
 }
 
+TEST(Runner, CampaignSlicesSkipQuietCycles) {
+  // Every campaign slice takes the quiescence-skipping path, adaptive
+  // controllers included. A lockstep loop that executes every cycle
+  // (executed == simulated) must not quietly come back.
+  for (const char* text :
+       {"scenario = con\nkernel = canrdr\nsetup = cba\n",
+        "scenario = con\nkernel = canrdr\nsetup = hcba\n"
+        "controller = adaptive:1024\n"}) {
+    const ExperimentSpec spec =
+        parse(std::string(text) + "runs = 8\nbatch = 8\n");
+    const auto result = run_experiment(spec, /*threads=*/1);
+    ASSERT_EQ(result.failed_jobs(), 0u) << text;
+    EXPECT_EQ(result.telemetry.slices_done, 1u) << text;  // one 8-lane slice
+    EXPECT_GT(result.telemetry.executed_cycles, 0u) << text;
+    EXPECT_LT(result.telemetry.executed_cycles,
+              result.telemetry.simulated_cycles / 2)
+        << text;
+  }
+}
+
 TEST(Runner, FailedJobStaysAJobFailureUnderBatching) {
   // A per-slice failure must surface as the job's error (not a throw),
   // identically for any batch/thread count.

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bus/bus.hpp"
@@ -21,6 +22,7 @@
 #include "core/credit_filter.hpp"
 #include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
+#include "ctrl/controller.hpp"
 #include "obs/telemetry.hpp"
 #include "platform/config_file.hpp"
 #include "platform/multicore.hpp"
@@ -338,6 +340,26 @@ void expect_same_credits(const core::CreditFilter* a,
   EXPECT_EQ(x.underflow_clamps(), y.underflow_clamps()) << where;
 }
 
+/// Controller stats, the increments in force and the adaptive rate state.
+void expect_same_controller(const ctrl::CreditController* a,
+                            const ctrl::CreditController* b,
+                            const std::string& where) {
+  ASSERT_EQ(a == nullptr, b == nullptr) << where;
+  if (a == nullptr) return;
+  EXPECT_EQ(a->stats().epochs, b->stats().epochs) << where;
+  EXPECT_EQ(a->stats().updates, b->stats().updates) << where;
+  EXPECT_EQ(a->stats().convergence_cycles, b->stats().convergence_cycles)
+      << where;
+  EXPECT_EQ(a->stats().steady_error, b->stats().steady_error) << where;
+  EXPECT_EQ(a->increments(), b->increments()) << where;
+  const auto* x = dynamic_cast<const ctrl::AdaptiveController*>(a);
+  const auto* y = dynamic_cast<const ctrl::AdaptiveController*>(b);
+  ASSERT_EQ(x == nullptr, y == nullptr) << where;
+  if (x == nullptr) return;
+  EXPECT_TRUE(std::ranges::equal(x->rates(), y->rates())) << where;
+  EXPECT_TRUE(std::ranges::equal(x->targets(), y->targets())) << where;
+}
+
 /// Everything a finished (or budget-stopped) run exposes.
 void expect_same_run(Multicore& a, const RunResult& ra, Multicore& b,
                      const RunResult& rb, const std::string& where) {
@@ -355,13 +377,7 @@ void expect_same_run(Multicore& a, const RunResult& ra, Multicore& b,
                      where + " core " + std::to_string(i));
   }
   expect_same_credits(a.credit_filter(), b.credit_filter(), where);
-  if (a.controller() != nullptr) {
-    EXPECT_EQ(a.controller()->stats().epochs, b.controller()->stats().epochs)
-        << where;
-    EXPECT_EQ(a.controller()->stats().updates,
-              b.controller()->stats().updates)
-        << where;
-  }
+  expect_same_controller(a.controller(), b.controller(), where);
   const bus::SegmentedInterconnect* sa = a.segmented();
   const bus::SegmentedInterconnect* sb = b.segmented();
   ASSERT_EQ(sa == nullptr, sb == nullptr) << where;
@@ -530,33 +546,37 @@ TEST(SkipParity, SplitVersusNonSplit) {
   expect_parity({"non-split", "cores = 4\nsetup = cba\nbus = non-split\n", 3});
 }
 
-// The adaptive controller has no horizon either: parity, no skipping.
+// The adaptive controller skips to its next sample edge.
 TEST(SkipParity, AdaptiveControllerOnTheClassicPath) {
   expect_parity({"adaptive",
-                 "cores = 4\nsetup = hcba\ncontroller = adaptive:512\n", 3,
-                 false, /*skips=*/false});
+                 "cores = 4\nsetup = hcba\ncontroller = adaptive:512\n", 3});
 }
 
 // Graph topologies with bridges unbounded and bounded (backpressure):
 // every core to completion under rp, the TuA to completion under H-CBA
 // (its slow-budget co-runners would need millions of cycles).
+// The parameters are std::string, not const char*: gtest prints a C string
+// with its address, which would make the test names differ between runs.
 class SkipParityTopology
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
 
 TEST_P(SkipParityTopology, MatchesStepping) {
-  const auto [topology, depth] = GetParam();
-  const std::string shape =
-      std::string("cores = 8\narbiter = rr\ntopology = ") + topology +
-      "\nbridge_depth = " + depth + "\n";
-  const std::string name = std::string(topology) + " depth " + depth;
+  const auto& [topology, depth] = GetParam();
+  const std::string shape = "cores = 8\narbiter = rr\ntopology = " +
+                            topology + "\nbridge_depth = " + depth + "\n";
+  const std::string name = topology + " depth " + depth;
   expect_parity({name + " rp", shape + "setup = rp\n", 7, /*all=*/true});
   expect_parity({name + " hcba", shape + "setup = hcba\n", 7});
 }
 
 INSTANTIATE_TEST_SUITE_P(
     GraphsAndDepths, SkipParityTopology,
-    ::testing::Combine(::testing::Values("chain:3", "ring:4", "mesh:2x2"),
-                       ::testing::Values("unbounded", "1", "2")));
+    ::testing::Combine(::testing::Values(std::string("chain:3"),
+                                         std::string("ring:4"),
+                                         std::string("mesh:2x2")),
+                       ::testing::Values(std::string("unbounded"),
+                                         std::string("1"), std::string("2"))));
 
 TEST(SkipParity, BudgetLandingInsideAQuietWindow) {
   // Find quiet windows of a skipping run (gaps between the executed
@@ -623,6 +643,131 @@ TEST(SkipParity, BatchLanesMatchTheSteppingOracle) {
       EXPECT_EQ(rs.tua_finished, rk.tua_finished) << where;
       EXPECT_TRUE(rs.record == rk.record) << where;
       expect_same_core(rs.tua_stats, rk.tua_stats, where);
+    }
+  }
+}
+
+// --- the adaptive controller's horizon ---------------------------------------
+
+/// H-CBA with three real co-runners under `controller = adaptive:<window>`.
+/// Window 16 samples every cycle, so nothing is skipped there.
+[[nodiscard]] Case adaptive_case(Cycle window) {
+  return {"adaptive:" + std::to_string(window),
+          "cores = 4\nsetup = hcba\ncontroller = adaptive:" +
+              std::to_string(window) + "\n",
+          3, false, /*skips=*/window > 16};
+}
+
+/// The machine's demand-window geometry: the configured window rounded up
+/// to a bucket multiple, and one bucket (the sample period).
+[[nodiscard]] std::pair<Cycle, Cycle> window_geometry(const Case& c) {
+  Rig rig(c, 1);
+  const auto& ctl =
+      dynamic_cast<const ctrl::AdaptiveController&>(*rig.machine->controller());
+  const Cycle window = ctl.demand().window();
+  return {window, window / 16};
+}
+
+TEST(SkipController, HorizonIsTheNextSampleEdge) {
+  // Alone in a kernel the controller executes its sample edges only:
+  // cycle 0, then every bucket's last cycle.
+  for (const Cycle window : {Cycle{16}, Cycle{1000}, Cycle{1024}}) {
+    const Case c = adaptive_case(window);
+    const auto [span, bucket] = window_geometry(c);
+    Rig rig(c, 1);
+    ctrl::CreditController& ctl = *rig.machine->controller();
+    sim::Kernel kernel;
+    kernel.add(ctl);
+    const Cycle budget = 7 * span + bucket / 2;
+    kernel.run(budget);
+    EXPECT_EQ(kernel.now(), budget) << window;
+    EXPECT_EQ(ctl.stats().epochs, 7u) << window;
+    const std::uint64_t samples = budget / bucket;
+    EXPECT_EQ(kernel.executed_cycles(), samples + (bucket > 1 ? 1 : 0))
+        << window;
+  }
+}
+
+TEST(SkipController, WindowsMatchStepping) {
+  // 1000 is not a bucket multiple: the window rounds up to 1008, 63-cycle
+  // buckets. The controller must have retuned for the parity to mean
+  // anything.
+  for (const Cycle window : {Cycle{16}, Cycle{1000}, Cycle{1024}}) {
+    const Case c = adaptive_case(window);
+    expect_parity(c);
+    Rig rig(c, kSeeds[0]);
+    (void)rig.machine->run(c.max_cycles);
+    EXPECT_GT(rig.machine->controller()->stats().updates, 0u) << c.name;
+  }
+}
+
+TEST(SkipController, BudgetsOnAndBetweenEpochEdges) {
+  // Epoch k closes in cycle k * window - 1: a budget of k * window
+  // executes that edge, one cycle less stops just before it, and
+  // k * window + bucket / 2 stops mid-bucket.
+  for (const Cycle window : {Cycle{16}, Cycle{1000}, Cycle{1024}}) {
+    Case c = adaptive_case(window);
+    const auto [span, bucket] = window_geometry(c);
+    const Cycle k = window == 16 ? 40 : 5;
+    const std::pair<Cycle, std::uint64_t> budgets[] = {
+        {k * span, k}, {k * span - 1, k - 1}, {k * span + bucket / 2, k}};
+    for (const auto& [budget, epochs] : budgets) {
+      c.max_cycles = budget;
+      for (const std::uint64_t seed : kSeeds) {
+        const std::string where = c.name + " budget " +
+                                  std::to_string(budget) + " seed " +
+                                  std::to_string(seed);
+        Rig stepped(c, seed);
+        Rig skipped(c, seed);
+        const RunResult rs = step_run(*stepped.machine, false, budget);
+        const RunResult rk = skipped.machine->run(budget);
+        EXPECT_FALSE(rk.tua_finished) << where;
+        EXPECT_EQ(skipped.machine->kernel().now(), budget) << where;
+        EXPECT_EQ(skipped.machine->controller()->stats().epochs, epochs)
+            << where;
+        expect_same_run(*stepped.machine, rs, *skipped.machine, rk, where);
+      }
+    }
+  }
+}
+
+TEST(SkipController, BatchLanesMatchTheSteppingOracle) {
+  // Adaptive lanes in the striped BatchKernel loop, one seed per lane.
+  for (const Cycle window : {Cycle{16}, Cycle{1000}, Cycle{1024}}) {
+    const Case c = adaptive_case(window);
+    for (const Cycle stripe : {Cycle{1}, Cycle{512}}) {
+      std::vector<std::unique_ptr<Rig>> lanes;
+      sim::BatchKernel batch(std::size(kSeeds), stripe);
+      for (std::size_t l = 0; l < std::size(kSeeds); ++l) {
+        lanes.push_back(std::make_unique<Rig>(c, kSeeds[l]));
+        lanes.back()->machine->attach(batch, l);
+      }
+      const auto fired = batch.run_until(
+          [&](std::size_t l) { return lanes[l]->machine->tua_done(); },
+          c.max_cycles);
+      if (c.skips) {
+        EXPECT_LT(batch.executed_cycles(), batch.simulated_cycles());
+      } else {
+        EXPECT_EQ(batch.executed_cycles(), batch.simulated_cycles());
+      }
+      for (std::size_t l = 0; l < std::size(kSeeds); ++l) {
+        Rig stepped(c, kSeeds[l]);
+        const RunResult rs = step_run(*stepped.machine, false, c.max_cycles);
+        Multicore& lane = *lanes[l]->machine;
+        const RunResult rk = lane.harvest(fired[l], batch.now());
+        const std::string where = c.name + " stripe " +
+                                  std::to_string(stripe) + " lane " +
+                                  std::to_string(l);
+        EXPECT_TRUE(rs.tua_finished) << where;
+        EXPECT_EQ(rs.tua_finished, rk.tua_finished) << where;
+        EXPECT_TRUE(rs.record == rk.record) << where;
+        expect_same_bus(rs.bus_stats, rk.bus_stats, where + " bus");
+        expect_same_core(rs.tua_stats, rk.tua_stats, where);
+        expect_same_credits(stepped.machine->credit_filter(),
+                            lane.credit_filter(), where);
+        expect_same_controller(stepped.machine->controller(),
+                               lane.controller(), where);
+      }
     }
   }
 }

@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
 """CI bench-baseline ratio gate.
 
-Compares Google-Benchmark ``--benchmark_format=json`` results against the
+Compares Google-Benchmark JSON results (``--benchmark_out``) against the
 pinned reference numbers in ``bench/baselines.json`` (derived from
 docs/BASELINES.md) and fails on a >threshold throughput regression.
+
+Each benchmark is read from its ``median`` aggregate row, which
+``--benchmark_repetitions=5 --benchmark_report_aggregates_only=true``
+produces; a single repetition is close to noise on campaign benchmarks.
+A benchmark reported without aggregates (one repetition) falls back to
+its iteration row.
 
 Because CI runners are not the pinned reference machine, absolute times
 are meaningless there; the gate therefore normalises by the MEDIAN
@@ -33,18 +39,29 @@ import sys
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+def parse_results(docs):
+    """name -> real_time in ns from parsed result documents: the median
+    aggregate where one exists, else the iteration row."""
+    medians, iterations = {}, {}
+    for doc in docs:
+        for entry in doc.get("benchmarks", []):
+            ns = (float(entry["real_time"])
+                  * TIME_UNIT_NS[entry.get("time_unit", "ns")])
+            if entry.get("run_type") == "aggregate":
+                if entry.get("aggregate_name") == "median":
+                    medians[entry["run_name"]] = ns
+            else:
+                iterations[entry.get("run_name", entry["name"])] = ns
+    return {**iterations, **medians}
+
+
 def load_results(paths):
     """name -> real_time in ns, merged across result files."""
-    results = {}
+    docs = []
     for path in paths:
         with open(path) as f:
-            doc = json.load(f)
-        for entry in doc.get("benchmarks", []):
-            if entry.get("run_type") == "aggregate":
-                continue
-            unit = TIME_UNIT_NS[entry.get("time_unit", "ns")]
-            results[entry["name"]] = float(entry["real_time"]) * unit
-    return results
+            docs.append(json.load(f))
+    return parse_results(docs)
 
 
 def load_baseline(path):
@@ -141,15 +158,41 @@ def self_test():
     assert missing == ["BM_X/3"], f"dropped benchmark missed: {missing}"
     assert not regressions
 
+    # Result parsing: the median aggregate row wins over the mean, the
+    # other aggregates and any iteration rows; a 2x slowdown in the
+    # median must fail the gate, one in the mean alone must not.
+    def aggregates(ns_by_name, slow_name=None, slow_field="median"):
+        rows = []
+        for name, ns in ns_by_name.items():
+            for agg in ("mean", "median", "stddev", "cv"):
+                value = ns
+                if agg == slow_field and name == slow_name:
+                    value *= 2.0
+                rows.append({"name": f"{name}_{agg}", "run_name": name,
+                             "run_type": "aggregate", "aggregate_name": agg,
+                             "real_time": value / 1e3, "time_unit": "us"})
+        return {"benchmarks": rows}
+
+    parsed = parse_results([aggregates(clean)])
+    assert parsed == clean, f"median rows misread: {parsed}"
+    _, regressions, _, missing = compare(parsed, baseline, 0.25)
+    assert not regressions and not missing
+    parsed = parse_results([aggregates(clean, "BM_X/2")])
+    _, regressions, _, _ = compare(parsed, baseline, 0.25)
+    assert regressions == ["BM_X/2"], f"median 2x missed: {regressions}"
+    parsed = parse_results([aggregates(clean, "BM_X/2", "mean")])
+    _, regressions, _, _ = compare(parsed, baseline, 0.25)
+    assert not regressions, f"mean-only slowdown flagged: {regressions}"
+
     print("bench_compare: self-test PASSED (clean passes, injected 2x "
-          "slowdown fails, dropped benchmark detected)")
+          "slowdown fails on median rows, dropped benchmark detected)")
     return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results", nargs="*",
-                        help="--benchmark_format=json output files")
+                        help="--benchmark_out JSON result files")
     parser.add_argument("--baseline", default="bench/baselines.json")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed normalized slowdown (default 0.25)")

@@ -122,11 +122,13 @@ struct Options {
       "                    all output files stay byte-identical)\n"
       "  --telemetry FILE  machine-readable run telemetry (runs/sec, ETA,\n"
       "                    per-thread busy fraction, slice times, peak RSS)\n"
-      "  --simd MODE       native (as built; default) | scalar (engine\n"
-      "                    path, portable kernels) | off (classic\n"
-      "                    lane-major path, as a CBUS_SIMD=off build);\n"
-      "                    output is byte-identical by contract -- the\n"
-      "                    dispatch-parity check runs all three\n"
+      "  --simd MODE       native (as built; default) | scalar | off:\n"
+      "                    scalar and off (as a CBUS_SIMD=off build) only\n"
+      "                    swap the vec kernels -- the deficit-age argmax\n"
+      "                    -- for the portable ones; campaigns always take\n"
+      "                    the skipping path. Output is byte-identical by\n"
+      "                    contract -- the dispatch-parity check runs all\n"
+      "                    three\n"
       "  --version         print build provenance and exit\n"
       "  --list WHAT       print known values and exit:\n"
       "                    kernels | setups | arbiters | controllers |\n"
@@ -415,16 +417,13 @@ exp::ExperimentSpec build_spec(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  // --simd routes the whole process before any campaign starts: "off"
-  // keeps the classic lane-major path (what a CBUS_SIMD=off build runs),
-  // "scalar" keeps the engine but answers every kernel with the portable
+  // --simd routes the whole process before any campaign starts. Every
+  // campaign takes the quiescence-skipping path, where the only vec
+  // kernel is the deficit-age argmax; "scalar" and "off" (what a
+  // CBUS_SIMD=off build runs) answer it with the portable
   // implementation. Byte-identity across all three modes is the
   // dispatch contract (tests/dispatch_parity_test.sh pins it).
-  if (opt.simd == "off") {
-    vec::set_engine_enabled(false);
-  } else if (opt.simd == "scalar") {
-    vec::force_scalar(true);
-  }
+  if (opt.simd != "native") vec::force_scalar(true);
   try {
     const exp::ExperimentSpec spec = build_spec(opt);
     exp::RunOptions run_options;
