@@ -65,6 +65,24 @@ class BusPort {
 
   /// True if the master has a raised-but-not-yet-granted request.
   [[nodiscard]] virtual bool has_pending(MasterId master) const = 0;
+
+  /// Bring every part behind the port up to the current cycle before
+  /// state it does not expose itself -- the credit filters gating it --
+  /// is read. An interconnect that clocks its parts lazily
+  /// (SegmentedInterconnect) folds them here; a bus that ticks
+  /// everything every cycle has nothing to do, and pays one load for it
+  /// (virtual contenders ask on every COMP-latch check).
+  void settle() const {
+    if (lazy_parts_) settle_parts();
+  }
+
+ protected:
+  /// Set by a port whose parts run on their own clocks.
+  bool lazy_parts_ = false;
+
+ private:
+  /// settle() for ports with lazy parts.
+  virtual void settle_parts() const {}
 };
 
 /// Passive observer of bus activity: request arrival, transfer start and

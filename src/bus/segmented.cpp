@@ -52,9 +52,9 @@ SegmentedInterconnect::SegmentedInterconnect(
       slot_(config.n_masters),
       callbacks_(config.n_masters, nullptr),
       flight_(config.n_masters),
-      backpressure_stalls_(config.n_segments(), 0),
       hop_histogram_(config.topology.diameter() + 1, 0) {
   config_.validate();
+  lazy_parts_ = true;  // every segment bus runs on its own clock
   CBUS_EXPECTS_MSG(make_segment_arbiter != nullptr,
                    "segmented interconnect needs an arbiter factory");
 
@@ -125,7 +125,12 @@ SegmentedInterconnect::SegmentedInterconnect(
         dest.cores.size() + (it - dest.ingress_from.begin()));
     edge_index_[static_cast<std::size_t>(e.from) * n + e.to] =
         static_cast<std::uint32_t>(bridges_.size());
-    bridges_.push_back(Bridge{e.from, e.to, port, {}, 0, 0, 0});
+    Bridge bridge;
+    bridge.from = e.from;
+    bridge.to = e.to;
+    bridge.dest_port = port;
+    bridge.ring.resize(config_.n_masters);
+    bridges_.push_back(std::move(bridge));
   }
 
   global_.master.resize(config_.n_masters);
@@ -172,55 +177,76 @@ bool SegmentedInterconnect::can_request(MasterId master) const {
 }
 
 void SegmentedInterconnect::tick(Cycle now) {
+  CBUS_ASSERT(now == clock_ && turn_ == 0);
   // Bridge deliveries first: a request re-raised at cycle t is visible to
   // its segment's arbiter at t, exactly like a core raising in its own
   // tick (cores tick before the interconnect).
   deliver_bridges(now);
-  for (Segment& seg : segments_) seg.bus->tick(now);
-
-  // End-of-cycle accounting: queue-depth accumulators per bridge, and --
-  // with a bounded depth -- one stall master-cycle per pending request
-  // withheld from arbitration by a full next-hop bridge.
-  ++ticks_;
-  for (Bridge& bridge : bridges_) {
-    bridge.depth_sum += bridge.queue.size();
-    bridge.depth_max = std::max(bridge.depth_max, bridge.queue.size());
+  for (; turn_ < segments_.size(); ++turn_) {
+    Segment& seg = segments_[turn_];
+    if (seg.due > now) continue;  // a countdown, folded when touched
+    fold(seg, now);
+    seg.bus->tick(now);
+    seg.synced = now + 1;
+    ++segment_ticks_;
+    refresh(turn_);
   }
-  add_backpressure_stalls(1);
+  turn_ = 0;
+  clock_ = now + 1;
 }
 
-void SegmentedInterconnect::add_backpressure_stalls(Cycle cycles) {
-  if (config_.bridge_depth == 0) return;
-  for (std::uint32_t s = 0; s < n_segments(); ++s) {
-    const std::uint32_t stalled =
-        blocked_mask(s, segments_[s].bus->pending_mask());
-    backpressure_stalls_[s] +=
-        static_cast<std::uint64_t>(std::popcount(stalled)) * cycles;
+void SegmentedInterconnect::fold(const Segment& seg, Cycle target) {
+  if (target <= seg.synced) return;
+  seg.bus->skip(target - seg.synced);
+  seg.synced = target;
+}
+
+void SegmentedInterconnect::fold_for_write(std::uint32_t s, Cycle now) {
+  // Past cycles and, inside tick(now), the segments already visited.
+  const bool had_turn = now < clock_ || s < turn_;
+  fold(segments_[s], had_turn ? now + 1 : now);
+}
+
+void SegmentedInterconnect::refresh(std::uint32_t s) {
+  Segment& seg = segments_[s];
+  seg.due = hold_current_ || seg.synced == 0
+                ? seg.synced
+                : seg.bus->next_activity(seg.synced - 1);
+  // One stall master-cycle per pending request withheld from arbitration
+  // by a full next-hop bridge, at every end of cycle.
+  if (config_.bridge_depth > 0) {
+    const std::uint32_t stalled = blocked_mask(s, seg.bus->pending_mask());
+    seg.stalls.set(static_cast<std::uint64_t>(std::popcount(stalled)), clock_);
   }
+}
+
+void SegmentedInterconnect::settle_parts() const {
+  if (settled_ == clock_) return;
+  for (const Segment& seg : segments_) fold(seg, clock_);
+  settled_ = clock_;
+}
+
+void SegmentedInterconnect::hold_segments_current() {
+  hold_current_ = true;
+  for (Segment& seg : segments_) seg.due = std::min(seg.due, seg.synced);
 }
 
 Cycle SegmentedInterconnect::next_activity(Cycle now) const {
   Cycle horizon = sim::kNever;
+  for (const Segment& seg : segments_) horizon = std::min(horizon, seg.due);
+  if (queued_ == 0 || horizon <= now + 1) return horizon;
   for (const Bridge& bridge : bridges_) {
-    if (bridge.queue.empty()) continue;
+    if (bridge.depth == 0) continue;
     if (segments_[bridge.to].port_owner[bridge.dest_port] != kNoMaster) {
       continue;
     }
-    horizon = std::min(horizon, std::max(bridge.queue.front().ready, now + 1));
-  }
-  for (const Segment& seg : segments_) {
-    if (horizon <= now + 1) break;
-    horizon = std::min(horizon, seg.bus->next_activity(now));
+    const Cycle ready = bridge.ring[bridge.head].ready;
+    horizon = std::min(horizon, std::max(ready, now + 1));
   }
   return horizon;
 }
 
-void SegmentedInterconnect::skip(Cycle k) {
-  for (Segment& seg : segments_) seg.bus->skip(k);
-  ticks_ += k;
-  for (Bridge& bridge : bridges_) bridge.depth_sum += bridge.queue.size() * k;
-  add_backpressure_stalls(k);
-}
+void SegmentedInterconnect::skip(Cycle k) { clock_ += k; }
 
 void SegmentedInterconnect::set_filter(std::uint32_t segment,
                                        EligibilityFilter* filter) {
@@ -253,7 +279,7 @@ std::uint32_t SegmentedInterconnect::local_slot(MasterId master) const {
 
 std::size_t SegmentedInterconnect::bridge_queue_depth(std::uint32_t b) const {
   CBUS_EXPECTS(b < bridges_.size());
-  return bridges_[b].queue.size();
+  return bridges_[b].depth;
 }
 
 std::pair<std::uint32_t, std::uint32_t> SegmentedInterconnect::bridge_route(
@@ -271,16 +297,17 @@ std::size_t SegmentedInterconnect::bridge_queue_depth_max(
 std::uint64_t SegmentedInterconnect::bridge_queue_depth_sum(
     std::uint32_t b) const {
   CBUS_EXPECTS(b < bridges_.size());
-  return bridges_[b].depth_sum;
+  return bridges_[b].depth_sum.sum(clock_);
 }
 
 std::uint64_t SegmentedInterconnect::backpressure_stalls(
     std::uint32_t segment) const {
   CBUS_EXPECTS(segment < config_.n_segments());
-  return backpressure_stalls_[segment];
+  return segments_[segment].stalls.sum(clock_);
 }
 
 BusStatistics SegmentedInterconnect::statistics() const {
+  settle();
   BusStatistics out = global_;
   for (const Segment& seg : segments_) {
     const BusStatistics& s = seg.bus->statistics();
@@ -294,6 +321,7 @@ BusStatistics SegmentedInterconnect::statistics() const {
 const BusStatistics& SegmentedInterconnect::segment_statistics(
     std::uint32_t segment) const {
   CBUS_EXPECTS(segment < config_.n_segments());
+  settle();
   return segments_[segment].bus->statistics();
 }
 
@@ -306,36 +334,53 @@ const Arbiter& SegmentedInterconnect::segment_arbiter(
 void SegmentedInterconnect::raise_hop(std::uint32_t segment,
                                       std::uint32_t local, MasterId master,
                                       Cycle forced_hold, Cycle now) {
+  fold_for_write(segment, now);
   Segment& seg = segments_[segment];
   CBUS_ASSERT(seg.port_owner[local] == kNoMaster);
   seg.port_owner[local] = master;
+  InFlight& entry = flight_[master];
+  entry.next_bridge = kNoBridge;
+  if (entry.target != segment) {
+    const std::uint32_t next = config_.topology.next_hop(segment, entry.target);
+    entry.next_bridge = bridge_index(segment, next);
+  }
 
   BusRequest hop;
   hop.master = local;
-  hop.addr = flight_[master].original.addr;
-  hop.kind = flight_[master].original.kind;
+  hop.addr = entry.original.addr;
+  hop.kind = entry.original.kind;
   hop.tag = master;  // the global identity, for debugging/tracing
   hop.forced_hold = forced_hold;
   seg.bus->request(hop, now);
+  refresh(segment);
 }
 
 void SegmentedInterconnect::deliver_bridges(Cycle now) {
+  if (queued_ == 0) return;
   for (Bridge& bridge : bridges_) {
-    if (bridge.queue.empty()) continue;
-    const BridgeEntry& head = bridge.queue.front();
+    if (bridge.depth == 0) continue;
+    const BridgeEntry head = bridge.ring[bridge.head];
     if (head.ready > now) continue;
-    Segment& dest = segments_[bridge.to];
     const std::uint32_t port = bridge.dest_port;
     // The ingress port presents one request at a time; the rest of the
     // queue waits (store-and-forward backpressure). port_owner is the
     // authoritative busy flag: the bus's can_request() is briefly true
     // in the latched-grant window (granted, transfer not yet begun),
     // but the port's hop only retires at transfer completion.
+    Segment& dest = segments_[bridge.to];
     if (dest.port_owner[port] != kNoMaster) continue;
     CBUS_ASSERT(dest.bus->can_request(port));
     bridge_stats_.queue_cycles += now - head.enqueued;
     raise_hop(bridge.to, port, head.master, /*forced_hold=*/0, now);
-    bridge.queue.pop_front();
+    bridge.head = (bridge.head + 1) % bridge.ring.size();
+    --bridge.depth;
+    --queued_;
+    bridge.depth_sum.set(bridge.depth, clock_);
+    // The freed slot can admit a request the upstream segment withheld.
+    if (config_.bridge_depth > 0) {
+      fold_for_write(bridge.from, now);
+      refresh(bridge.from);
+    }
   }
 }
 
@@ -350,15 +395,13 @@ std::uint32_t SegmentedInterconnect::blocked_mask(
     candidates &= candidates - 1;
     const MasterId master = seg.port_owner[local];
     if (master == kNoMaster) continue;
-    const InFlight& entry = flight_[master];
-    if (entry.target == segment) continue;  // delivered here, no next hop
-    const std::uint32_t next =
-        config_.topology.next_hop(segment, entry.target);
-    const Bridge& bridge = bridges_[bridge_index(segment, next)];
+    const std::uint32_t next = flight_[master].next_bridge;
+    if (next == kNoBridge) continue;  // delivered here, no next hop
+    const Bridge& bridge = bridges_[next];
     // Count grant-time reservations too: overlapped arbitration admits
     // the next transfer while the previous one is still in service, so
     // the live queue alone under-reports committed occupancy.
-    if (bridge.queue.size() + bridge.reserved >= config_.bridge_depth) {
+    if (bridge.depth + bridge.reserved >= config_.bridge_depth) {
       mask |= 1u << local;
     }
   }
@@ -412,13 +455,10 @@ void SegmentedInterconnect::hop_granted(std::uint32_t segment,
   // A granted hop that will forward into a bridge reserves its queue
   // slot NOW (the SegmentGate admitted it against queue + reserved);
   // the reservation becomes the real entry in hop_completed.
-  if (config_.bridge_depth > 0 && granted.target != segment) {
-    const std::uint32_t next =
-        config_.topology.next_hop(segment, granted.target);
-    Bridge& bridge = bridges_[bridge_index(segment, next)];
+  if (config_.bridge_depth > 0 && granted.next_bridge != kNoBridge) {
+    Bridge& bridge = bridges_[granted.next_bridge];
     ++bridge.reserved;
-    CBUS_ASSERT(bridge.queue.size() + bridge.reserved <=
-                config_.bridge_depth);
+    CBUS_ASSERT(bridge.depth + bridge.reserved <= config_.bridge_depth);
   }
   auto& pm = global_.master[master];
   pm.hold_cycles += hold;
@@ -454,7 +494,9 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
   // interconnect, not just the home segment.
   const std::uint32_t home = home_[master];
   if (segment != home && filters_[home] != nullptr) {
+    fold_for_write(home, now);
     filters_[home]->on_remote_occupancy(slot_[master], entry.hop_hold);
+    refresh(home);
   }
 
   if (segment == entry.target) {
@@ -476,20 +518,23 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
 
   // Transit hop done: store-and-forward towards the target along the
   // topology's routed path.
-  const std::uint32_t next =
-      config_.topology.next_hop(segment, entry.target);
   ++entry.hops;
   ++bridge_stats_.hops;
-  Bridge& bridge = bridges_[bridge_index(segment, next)];
+  Bridge& bridge = bridges_[entry.next_bridge];
   // The grant-time reservation converts into the real queue entry, so a
   // bounded queue never overflows.
   if (config_.bridge_depth > 0) {
     CBUS_ASSERT(bridge.reserved > 0);
     --bridge.reserved;
-    CBUS_ASSERT(bridge.queue.size() < config_.bridge_depth);
+    CBUS_ASSERT(bridge.depth < config_.bridge_depth);
   }
-  bridge.queue.push_back(
-      BridgeEntry{master, now + config_.bridge_latency, now});
+  CBUS_ASSERT(bridge.depth < bridge.ring.size());
+  bridge.ring[(bridge.head + bridge.depth) % bridge.ring.size()] =
+      BridgeEntry{master, now + config_.bridge_latency, now};
+  ++bridge.depth;
+  ++queued_;
+  bridge.depth_sum.set(bridge.depth, clock_);
+  bridge.depth_max = std::max(bridge.depth_max, bridge.depth);
 }
 
 }  // namespace cbus::bus

@@ -45,19 +45,37 @@
 // in service, so testing the live queue alone would leak admissions),
 // and the reservation converts into the real queue entry when the
 // forward beat completes. queued + reserved never exceeds the bound, so
-// no entry is ever dropped or reordered. Caveat: shortest-path routing on a
-// bounded ring admits cyclic waits in principle; with at most one
-// outstanding request per master (this model's protocol) a cycle cannot
-// close, but pathological configs should prefer `chain`/`mesh` (XY
-// routing is deadlock-free) or a deeper bound.
+// no entry is ever dropped or reordered. Caveat: bounded queues on a
+// cyclic route CAN deadlock -- on a bounded ring, sustained multi-hop
+// traffic can fill every forward bridge while each ingress occupant
+// waits on the next full one (docs/TOPOLOGIES.md, pinned by
+// RingDeadlock.* in tests/test_skip.cpp). `mesh` XY routing is
+// deadlock-free; size `bridge_depth` against the traffic's hop pattern.
 //
-// All state is per-instance and advanced only inside tick(), so a
-// replica is lane-safe under sim::BatchKernel and batched campaigns stay
-// bit-identical to serial -- for every topology.
+// Clocks: every segment bus runs on its own clock. tick(now) delivers
+// the ready bridge heads and then ticks, in segment order, only the
+// segments whose horizon (`due`, the bus's next_activity) has arrived;
+// every other segment is a pure countdown and is folded later, in one
+// skip(), when something touches it. A write into segment s from
+// outside its own tick -- a raise, a remote-occupancy charge to its home
+// filter, a bridge pop that can unblock it -- first folds s up to the
+// write's cycle: up to `now` if s has not had its turn in cycle `now`
+// yet, through `now` if it has (credit recovery saturates at its cap, so
+// the fold does not commute with a charge). skip(k) is O(1), and the
+// per-cycle accounting (bridge depth sums, backpressure stalls) is kept
+// as level x elapsed cycles, added at each change. Readers that look at
+// segment state the interconnect does not own (credit filters, segment
+// statistics) call settle() first, which folds every segment up to the
+// interconnect's clock -- results are identical to ticking every segment
+// every cycle, which hold_segments_current() still does (the reference
+// tests/test_skip.cpp compares the per-segment clocks against).
+//
+// All state is per-instance, so a replica is lane-safe under
+// sim::BatchKernel and batched campaigns stay bit-identical to serial --
+// for every topology.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -143,17 +161,26 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// True iff the master has no transaction anywhere in the interconnect.
   [[nodiscard]] bool can_request(MasterId master) const override;
 
+  /// Delivers the ready bridge heads, then ticks the due segments in
+  /// segment order (see the header comment).
   void tick(Cycle now) override;
 
   /// Quiet until a segment bus is due (its own horizon, filter and
   /// backpressure mask included) or a bridge head turns ready with its
   /// ingress port free. A head behind an occupied port waits for that
   /// port's completion, so a deadlocked ring has no horizon at all.
+  /// O(segments) over the cached horizons.
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
 
-  /// Folds every segment bus plus the per-cycle accounting: ticked
-  /// cycles, bridge depth sums and backpressure stalls.
+  /// O(1): only the interconnect's clock moves; the segments fold when
+  /// next touched or settled.
   void skip(Cycle k) override;
+
+  /// Make every segment due every cycle: each segment bus is ticked in
+  /// every interconnect cycle, as a plain lockstep interconnect would.
+  /// Results are identical, only slower -- the reference the per-segment
+  /// clocks are tested against. Call before the first cycle.
+  void hold_segments_current();
 
   /// Install a passive observer of GLOBAL-level activity (nullptr
   /// detaches): on_request at the global raise, on_transfer_start when
@@ -227,7 +254,13 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   [[nodiscard]] std::uint64_t bridge_queue_depth_sum(std::uint32_t b) const;
   /// Cycles this interconnect has ticked (denominator for depth means).
   [[nodiscard]] std::uint64_t ticked_cycles() const noexcept {
-    return ticks_;
+    return clock_;
+  }
+  /// Segment-bus cycles actually ticked (due segments only);
+  /// n_segments() x ticked_cycles() is what ticking every segment every
+  /// cycle would cost.
+  [[nodiscard]] std::uint64_t segment_cycles_executed() const noexcept {
+    return segment_ticks_;
   }
   /// Master-cycles segment `segment` withheld a pending request from
   /// arbitration because its routed next-hop bridge was full. Always 0
@@ -312,6 +345,25 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     }
   };
 
+  /// A per-cycle level summed lazily: `level` holds from interconnect
+  /// cycle `since` on, `closed` sums the cycles before it.
+  struct LevelSum {
+    std::uint64_t closed = 0;
+    std::uint64_t level = 0;
+    std::uint64_t since = 0;
+    /// The level changes during cycle `tick` (an interconnect tick
+    /// index); the last change in a cycle is its end-of-cycle level.
+    void set(std::uint64_t value, std::uint64_t tick) {
+      closed += level * (tick - since);
+      since = tick;
+      level = value;
+    }
+    /// The sum over cycles [0, end).
+    [[nodiscard]] std::uint64_t sum(std::uint64_t end) const {
+      return closed + level * (end - since);
+    }
+  };
+
   struct Segment {
     std::vector<MasterId> cores;  ///< ascending global ids; slot = index
     /// Source segment feeding each bridge-ingress port, ascending; port
@@ -324,6 +376,14 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     std::vector<std::unique_ptr<PortRelay>> relays;  ///< one per local slot
     /// Global master whose hop occupies each local slot (kNoMaster: free).
     std::vector<MasterId> port_owner;
+    /// Every cycle before `synced` is folded into the bus. Mutable: a
+    /// fold changes nothing a later cycle sees (see settle()).
+    mutable Cycle synced = 0;
+    /// The bus's horizon, next_activity(synced - 1): the first cycle it
+    /// must be ticked in. Cycles before it are pure countdowns.
+    Cycle due = 0;
+    /// Pending requests withheld by a full next-hop bridge.
+    LevelSum stalls;
   };
 
   struct BridgeEntry {
@@ -336,12 +396,16 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     std::uint32_t from = 0;
     std::uint32_t to = 0;
     std::uint32_t dest_port = 0;  ///< local slot of the ingress port on `to`
-    std::deque<BridgeEntry> queue;
+    /// FIFO ring of n_masters entries: a master has at most one
+    /// transaction in flight, so the queue never holds more.
+    std::vector<BridgeEntry> ring;
+    std::uint32_t head = 0;   ///< ring index of the queue front
+    std::uint32_t depth = 0;  ///< entries queued
     /// Grant-time admissions not yet enqueued (bounded depth only):
-    /// queue.size() + reserved <= bridge_depth is the hard invariant.
+    /// depth + reserved <= bridge_depth is the hard invariant.
     std::uint32_t reserved = 0;
-    std::uint64_t depth_sum = 0;  ///< end-of-cycle depths, summed
-    std::size_t depth_max = 0;    ///< high-water mark
+    LevelSum depth_sum;           ///< end-of-cycle depths
+    std::uint32_t depth_max = 0;  ///< high-water mark (taken at push)
   };
 
   /// One outstanding transaction per global master.
@@ -351,21 +415,36 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     std::uint32_t target = 0;   ///< segment owning the address range
     std::uint32_t hops = 0;     ///< bridges crossed so far
     Cycle hop_hold = 0;         ///< hold of the hop currently in transfer
+    /// Routed next bridge of the hop currently raised (kNoBridge on the
+    /// target segment), fixed in raise_hop.
+    std::uint32_t next_bridge = 0;
   };
+
+  /// BusPort::settle(): fold every segment up to the interconnect's
+  /// clock, so its bus, statistics and credit filter read as if ticked
+  /// every cycle. The folds change nothing a later cycle sees, so readers
+  /// of the segment filters (virtual contenders, the tracer, run harvest)
+  /// settle through const references; O(1) when nothing moved since the
+  /// last call.
+  void settle_parts() const override;
 
   /// Raise master `master`'s hop on `segment` at local slot `local`.
   void raise_hop(std::uint32_t segment, std::uint32_t local, MasterId master,
                  Cycle forced_hold, Cycle now);
   /// Deliver ready bridge entries whose ingress port is free.
   void deliver_bridges(Cycle now);
-  /// One stall master-cycle per pending request withheld by a full
-  /// next-hop bridge, for `cycles` cycles of unchanged state.
-  void add_backpressure_stalls(Cycle cycles);
+  /// Fold segment `s` up to cycle `now` ahead of a write from outside
+  /// its own tick -- through `now` when it has had its turn already.
+  void fold_for_write(std::uint32_t s, Cycle now);
+  /// After a change to segment `s`: its horizon and stall level.
+  void refresh(std::uint32_t s);
   /// The local slots among `candidates` whose occupant's routed next-hop
   /// bridge is full (0 when bridge_depth is unbounded). Consulted by the
   /// SegmentGate at arbitration time and by the stall accounting.
   [[nodiscard]] std::uint32_t blocked_mask(std::uint32_t segment,
                                            std::uint32_t candidates) const;
+  /// Fold `seg` so every cycle before `target` is in its bus.
+  static void fold(const Segment& seg, Cycle target);
   /// Bridge index of directed edge (from -> to); asserts adjacency.
   [[nodiscard]] std::uint32_t bridge_index(std::uint32_t from,
                                            std::uint32_t to) const;
@@ -405,9 +484,16 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// Live global per-master counters; busy/idle/total assembled on demand.
   BusStatistics global_;
   BridgeStats bridge_stats_;
-  std::vector<std::uint64_t> backpressure_stalls_;  ///< per segment
   std::vector<std::uint64_t> hop_histogram_;  ///< per completed hop count
-  std::uint64_t ticks_ = 0;
+  /// The interconnect's clock: the next cycle to tick. Kernels start at
+  /// cycle 0, so it also counts the cycles ticked or skipped.
+  Cycle clock_ = 0;
+  /// Inside tick(clock_): segments [0, turn_) have had their turn.
+  std::uint32_t turn_ = 0;
+  std::uint64_t segment_ticks_ = 0;  ///< segment-bus cycles ticked
+  std::size_t queued_ = 0;           ///< entries over every bridge
+  mutable Cycle settled_ = 0;        ///< clock_ at the last settle()
+  bool hold_current_ = false;
 };
 
 }  // namespace cbus::bus

@@ -21,6 +21,7 @@ VirtualContender::VirtualContender(const VirtualContenderConfig& config,
 
 bool VirtualContender::budget_full() const {
   if (credits_ == nullptr) return true;
+  bus_.settle();  // BUDGi may sit behind a lazily clocked segment
   return credits_->saturated(credit_slot());
 }
 
@@ -52,6 +53,7 @@ Cycle VirtualContender::next_activity(Cycle now) const {
   // Cycle now + 1 + j reads BUDGi after j more recovery ticks. Holding
   // the bus only lowers BUDGi, so assuming recovery is early, never late.
   const MasterId slot = credit_slot();
+  bus_.settle();
   return sim::horizon_after(
       now + 1,
       credits_->recovery_cycles(slot, credits_->config().saturation[slot]));

@@ -491,6 +491,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     telemetry.slice_wall_ms.add(slice_ms);
     telemetry.executed_cycles += cycles.executed;
     telemetry.simulated_cycles += cycles.simulated;
+    telemetry.segment_cycles_executed += cycles.segment_cycles_executed;
     if (meter.has_value()) {
       meter->update(telemetry.runs_done, telemetry.slices_done);
     }

@@ -35,6 +35,9 @@ struct Telemetry {
   /// quiet), summed over this invocation's slices.
   std::uint64_t executed_cycles = 0;
   std::uint64_t simulated_cycles = 0;
+  /// Segment-bus cycles the segmented interconnects ticked (only the due
+  /// segments of each executed cycle); 0 on single-bus runs.
+  std::uint64_t segment_cycles_executed = 0;
 
   [[nodiscard]] double runs_per_sec() const noexcept {
     return wall_seconds > 0.0

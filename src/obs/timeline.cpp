@@ -147,6 +147,9 @@ void Timeline::on_transfer_complete(const bus::BusRequest& request,
 
 void Timeline::tick(Cycle now) {
   if (!in_window(now)) return;
+  // Segment buses run on their own clocks: bring the credit filters
+  // behind them up to this cycle before reading.
+  if (seg_ != nullptr) seg_->settle();
   // Underflow clamps are instants, polled every cycle so none is missed;
   // they only ever fire on mis-configured MaxL, so the compare stays cold.
   for (MasterId m = 0; m < static_cast<MasterId>(credit_.size()); ++m) {

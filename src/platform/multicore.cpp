@@ -254,6 +254,8 @@ RunResult Multicore::collect(bool finished, Cycle executed) const {
   metrics::probe_bus(result.bus_stats, result.record);
   metrics::probe_fairness(result.bus_stats, result.record);
   if (seg_bus_) {
+    // The segment filters are read directly: settle the segments' clocks.
+    seg_bus_->settle();
     std::uint64_t underflows = 0;
     std::vector<double> budgets;
     if (!seg_filters_.empty()) {

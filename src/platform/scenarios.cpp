@@ -46,6 +46,12 @@ namespace {
   return config;
 }
 
+/// Segment-bus cycles a lane's interconnect ticked (0 on the single bus).
+[[nodiscard]] std::uint64_t segment_cycles(Multicore& machine) {
+  const bus::SegmentedInterconnect* seg = machine.segmented();
+  return seg != nullptr ? seg->segment_cycles_executed() : 0;
+}
+
 }  // namespace
 
 std::uint64_t run_seed(std::uint64_t base_seed, std::uint32_t run_index) {
@@ -157,6 +163,7 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
       outcomes[lane].record = std::move(run.record);
       cycles.executed += single.executed_cycles();
       cycles.simulated += single.simulated_cycles();
+      cycles.segment_cycles_executed += segment_cycles(*r.machine);
     }
     return cycles;
   }
@@ -169,12 +176,15 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
   const std::vector<bool> fired = batch.run_until(
       [&](std::size_t lane) { return replicas[lane].machine->tua_done(); },
       spec.max_cycles);
+  cycles.executed = batch.executed_cycles();
+  cycles.simulated = batch.simulated_cycles();
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     RunResult r = replicas[lane].machine->harvest(fired[lane], batch.now());
     outcomes[lane].finished = r.tua_finished;
     outcomes[lane].record = std::move(r.record);
+    cycles.segment_cycles_executed += segment_cycles(*replicas[lane].machine);
   }
-  return KernelCycles{batch.executed_cycles(), batch.simulated_cycles()};
+  return cycles;
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec) {

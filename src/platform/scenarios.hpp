@@ -142,6 +142,9 @@ struct CampaignResult {
 struct KernelCycles {
   std::uint64_t executed = 0;
   std::uint64_t simulated = 0;
+  /// Segment-bus cycles ticked by the lanes' segmented interconnects
+  /// (0 on the single bus): what the per-segment clocks executed.
+  std::uint64_t segment_cycles_executed = 0;
 };
 
 /// Run the contiguous slice of runs [first_run, first_run +

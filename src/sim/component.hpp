@@ -19,6 +19,17 @@
 // jump; stop predicates are polled after executed cycles only. A
 // component without a horizon keeps the default `now + 1` and is ticked
 // every cycle (tracers, the split bus).
+//
+// Local clocks: the same contract applies INSIDE a component made of
+// clocked parts. bus::SegmentedInterconnect keeps one clock per segment
+// bus: its tick runs only the segments whose own horizon has arrived,
+// and a quiet segment is folded in one skip when something next writes
+// into it. Between touches such a part lags behind the kernel's clock,
+// so state of it that other components read directly (the credit
+// filters behind the segments: virtual contenders' COMP latches, the
+// tracer, run harvest) is read after bus::BusPort::settle(), which folds
+// every part up to the component's clock and changes nothing a later
+// cycle sees.
 #pragma once
 
 #include <limits>

@@ -392,7 +392,26 @@ TEST(Runner, CampaignSlicesSkipQuietCycles) {
     EXPECT_LT(result.telemetry.executed_cycles,
               result.telemetry.simulated_cycles / 2)
         << text;
+    EXPECT_EQ(result.telemetry.segment_cycles_executed, 0u) << text;
   }
+}
+
+TEST(Runner, SegmentClocksTickOnlyTheDueSegments) {
+  // Each segment bus of a mesh runs on its own clock: an executed cycle
+  // ticks the segments whose horizon arrived, not all nine. Ticking
+  // every segment every cycle must not quietly come back either.
+  std::string text =
+      "scenario = corun\nkernel = canrdr\ntopology = mesh:3x3\n"
+      "cores = 9\nsetup = hcba\narbiter = rr\nbridge_depth = 1\n"
+      "runs = 2\nbatch = 2\n";
+  for (int m = 1; m < 9; ++m) {
+    text += "core" + std::to_string(m) + " = stream:2\n";
+  }
+  const auto result = run_experiment(parse(text), /*threads=*/1);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  const obs::Telemetry& t = result.telemetry;
+  EXPECT_GT(t.segment_cycles_executed, 0u);
+  EXPECT_LT(t.segment_cycles_executed, 9 * t.executed_cycles / 4);
 }
 
 TEST(Runner, FailedJobStaysAJobFailureUnderBatching) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,11 @@
 #include "obs/demand_window.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeline.hpp"
+#include "platform/config_file.hpp"
+#include "platform/multicore.hpp"
+#include "workloads/eembc_like.hpp"
+#include "workloads/streaming.hpp"
 
 namespace cbus {
 namespace {
@@ -233,6 +239,40 @@ TEST(Timeline, TracingABatchedCampaignDoesNotPerturbResults) {
   EXPECT_EQ(json_of(bare, reference), json_of(bare, instrumented));
   EXPECT_FALSE(file_bytes(traced.trace_path).empty());
   std::remove(traced.trace_path.c_str());
+}
+
+/// The tracer reads credit budgets and eligibility that live behind the
+/// segmented interconnect's per-segment clocks: its whole capture must
+/// equal the one taken on the same machine with every segment held
+/// current (ticked every cycle).
+TEST(Timeline, SegmentedCorunTraceMatchesEverySegmentHeldCurrent) {
+  const auto trace = [](bool hold_current) {
+    std::istringstream text(
+        "cores = 8\nsetup = hcba\narbiter = rr\ntopology = mesh:2x2\n"
+        "bridge_depth = 1\n");
+    const platform::PlatformConfig config = platform::parse_config(text);
+    std::unique_ptr<cpu::OpStream> tua = workloads::make_eembc("canrdr");
+    tua->reset(7);
+    std::vector<std::unique_ptr<cpu::OpStream>> corunners;
+    std::vector<cpu::OpStream*> ptrs;
+    for (MasterId m = 1; m < 8; ++m) {
+      corunners.push_back(std::make_unique<workloads::StreamingStream>(2));
+      corunners.back()->reset(m);
+      ptrs.push_back(corunners.back().get());
+    }
+    platform::Multicore machine(config, 7, *tua, ptrs);
+    if (hold_current) machine.segmented()->hold_segments_current();
+    obs::Timeline timeline(obs::Timeline::Config{.counter_stride = 8});
+    timeline.attach(machine);
+    (void)machine.run(40'000);
+    std::ostringstream out;
+    timeline.write_json(out);
+    return out.str();
+  };
+  const std::string lazy = trace(false);
+  EXPECT_NE(lazy.find("\"credit m7\""), std::string::npos);
+  EXPECT_NE(lazy.find("\"bridge s0->s1\""), std::string::npos);
+  EXPECT_TRUE(lazy == trace(true));
 }
 
 TEST(Timeline, TraceRunOutOfRangeIsRejected) {

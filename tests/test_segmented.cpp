@@ -1,12 +1,16 @@
 // SegmentedInterconnect tests: address-range routing, bridge timing,
 // single-segment equivalence with the non-split bus, per-segment Table-I
-// credit conservation, the platform/experiment wiring and the
-// batched-vs-serial byte-equality contract for the segmented topology.
+// credit conservation, the per-segment clocks against every segment held
+// current, the platform/experiment wiring and the batched-vs-serial
+// byte-equality contract for the segmented topology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "bus/arbiter_factory.hpp"
@@ -493,6 +497,223 @@ TEST(Segmented, RemoteOccupancyIsChargedToTheHomeBudget) {
   // exempt bridge slot there).
   EXPECT_EQ(filter1.state().budget(0), 100 + 1 * kCycles);
 }
+
+// --- per-segment clocks ------------------------------------------------------
+
+/// Loads to pseudo-random segments after pseudo-random compute gaps, so
+/// every bridge sees traffic and the home segments idle while their
+/// cores' transactions are away.
+class WanderingMaster final : public sim::Component, public bus::BusMaster {
+ public:
+  WanderingMaster(MasterId id, bus::BusPort& bus, std::uint32_t n_segments)
+      : sim::Component("wandering"),
+        id_(id),
+        bus_(bus),
+        n_segments_(n_segments),
+        state_(0x9E37'79B9u * (id + 1)) {
+    bus_.connect_master(id_, *this);
+  }
+  void tick(Cycle now) override {
+    if (gap_ > 0) {
+      --gap_;
+      return;
+    }
+    if (!bus_.can_request(id_)) return;
+    BusRequest req;
+    req.master = id_;
+    req.addr = static_cast<Addr>(draw() % n_segments_) << 12;
+    req.kind = MemOpKind::kLoad;
+    bus_.request(req, now);
+    gap_ = draw() % 40;
+  }
+  [[nodiscard]] Cycle next_activity(Cycle now) const override {
+    if (gap_ > 0) return now + gap_ + 1;
+    return bus_.can_request(id_) ? now + 1 : sim::kNever;
+  }
+  void skip(Cycle k) override {
+    if (gap_ > 0) gap_ -= static_cast<std::uint32_t>(k);  // else blocked
+  }
+  void on_grant(const BusRequest&, Cycle, Cycle) override {}
+  void on_complete(const BusRequest&, Cycle) override {}
+
+ private:
+  std::uint32_t draw() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 17;
+    state_ ^= state_ << 5;
+    return state_;
+  }
+
+  MasterId id_;
+  bus::BusPort& bus_;
+  std::uint32_t n_segments_;
+  std::uint32_t state_;
+  std::uint32_t gap_ = 0;
+};
+
+/// Two wandering cores per segment, each segment under a credit filter
+/// whose core budgets sit at a low cap most of the time -- where a
+/// remote-occupancy charge and the recovery of a folded cycle do not
+/// commute, so folding a segment too far or too late shows.
+struct ClockRig {
+  FixedSlave slave{6};
+  SegmentedInterconnect seg;
+  std::vector<std::unique_ptr<core::CreditFilter>> filters;
+  std::vector<std::unique_ptr<WanderingMaster>> masters;
+  sim::Kernel kernel;
+
+  static SegmentedConfig config(const bus::Topology& topology,
+                                std::uint32_t depth) {
+    SegmentedConfig cfg;
+    cfg.n_masters = 2 * topology.n_segments();
+    cfg.topology = topology;
+    cfg.bridge_hold = 3;
+    cfg.bridge_latency = 2;
+    cfg.bridge_depth = depth;
+    return cfg;
+  }
+
+  ClockRig(const bus::Topology& topology, std::uint32_t depth)
+      : seg(config(topology, depth), slave, rr_factory()) {
+    for (std::uint32_t s = 0; s < seg.n_segments(); ++s) {
+      const std::uint32_t n_local = seg.n_local_masters(s);
+      const std::uint32_t cores =
+          static_cast<std::uint32_t>(seg.segment_cores(s).size());
+      core::CbaConfig cba;
+      cba.n_masters = n_local;
+      cba.max_latency = 8;
+      cba.scale = 2;
+      cba.increment.assign(n_local, 2);
+      cba.saturation.assign(n_local, 16);
+      cba.threshold.assign(n_local, 0);
+      cba.initial.assign(n_local, 16);
+      for (std::uint32_t slot = 0; slot < cores; ++slot) {
+        cba.increment[slot] = 1;
+        cba.saturation[slot] = 24;
+        cba.threshold[slot] = 12;
+      }
+      cba.validate();
+      filters.push_back(std::make_unique<core::CreditFilter>(cba));
+      seg.set_filter(s, filters.back().get());
+    }
+    for (MasterId m = 0; m < seg.n_masters(); ++m) {
+      masters.push_back(
+          std::make_unique<WanderingMaster>(m, seg, seg.n_segments()));
+      kernel.add(*masters.back());
+    }
+    kernel.add(seg);
+  }
+};
+
+/// Everything the two interconnects expose, their credit filters too.
+void expect_same_interconnect(const ClockRig& a, const ClockRig& b,
+                              const std::string& where) {
+  a.seg.settle();
+  b.seg.settle();
+  EXPECT_EQ(a.seg.ticked_cycles(), b.seg.ticked_cycles()) << where;
+  for (std::uint32_t s = 0; s < a.seg.n_segments(); ++s) {
+    const bus::BusStatistics& x = a.seg.segment_statistics(s);
+    const bus::BusStatistics& y = b.seg.segment_statistics(s);
+    EXPECT_EQ(x.busy_cycles, y.busy_cycles) << where << " segment " << s;
+    EXPECT_EQ(x.total_cycles, y.total_cycles) << where << " segment " << s;
+    EXPECT_EQ(x.totals().grants, y.totals().grants) << where << " " << s;
+    EXPECT_EQ(x.totals().wait_cycles, y.totals().wait_cycles)
+        << where << " segment " << s;
+    EXPECT_EQ(a.seg.backpressure_stalls(s), b.seg.backpressure_stalls(s))
+        << where << " segment " << s;
+    const core::CreditState& p = a.filters[s]->state();
+    const core::CreditState& q = b.filters[s]->state();
+    for (MasterId m = 0; m < a.seg.n_local_masters(s); ++m) {
+      EXPECT_EQ(p.budget(m), q.budget(m))
+          << where << " segment " << s << " slot " << m;
+    }
+    EXPECT_EQ(p.underflow_clamps(), q.underflow_clamps()) << where;
+  }
+  for (std::uint32_t br = 0; br < a.seg.n_bridges(); ++br) {
+    EXPECT_EQ(a.seg.bridge_queue_depth(br), b.seg.bridge_queue_depth(br))
+        << where << " bridge " << br;
+    EXPECT_EQ(a.seg.bridge_queue_depth_sum(br),
+              b.seg.bridge_queue_depth_sum(br))
+        << where << " bridge " << br;
+    EXPECT_EQ(a.seg.bridge_queue_depth_max(br),
+              b.seg.bridge_queue_depth_max(br))
+        << where << " bridge " << br;
+  }
+  const bus::BusStatistics x = a.seg.statistics();
+  const bus::BusStatistics y = b.seg.statistics();
+  for (MasterId m = 0; m < a.seg.n_masters(); ++m) {
+    EXPECT_EQ(x.master[m].completions, y.master[m].completions)
+        << where << " master " << m;
+    EXPECT_EQ(x.master[m].hold_cycles, y.master[m].hold_cycles)
+        << where << " master " << m;
+  }
+  EXPECT_EQ(a.seg.bridge_stats().hops, b.seg.bridge_stats().hops) << where;
+  EXPECT_EQ(a.seg.bridge_stats().queue_cycles,
+            b.seg.bridge_stats().queue_cycles)
+      << where;
+  EXPECT_TRUE(std::ranges::equal(a.seg.hop_histogram(), b.seg.hop_histogram()))
+      << where;
+}
+
+using ClockParam = std::tuple<std::string, std::uint32_t>;
+
+class SegmentClocks : public ::testing::TestWithParam<ClockParam> {
+ protected:
+  [[nodiscard]] bus::Topology topology() const {
+    const std::string& name = std::get<0>(GetParam());
+    if (name == "chain:3") return bus::Topology::chain(3);
+    if (name == "ring:4") return bus::Topology::ring(4);
+    return bus::Topology::mesh(2, 2);
+  }
+  [[nodiscard]] std::string where() const {
+    return std::get<0>(GetParam()) + " depth " +
+           std::to_string(std::get<1>(GetParam()));
+  }
+};
+
+// The per-segment clocks against every segment held current (stepped),
+// with the lazy interconnect on the skipping kernel read at irregular
+// checkpoints (each read settles it), and stepped and settled by a read
+// after every cycle -- two fold patterns, the same results.
+TEST_P(SegmentClocks, LazyMatchesEveryCycleTicking) {
+  const std::uint32_t depth = std::get<1>(GetParam());
+  for (const bool read_every_cycle : {false, true}) {
+    const std::string label =
+        where() + (read_every_cycle ? " read every cycle" : "");
+    ClockRig lazy(topology(), depth);
+    ClockRig eager(topology(), depth);
+    eager.seg.hold_segments_current();
+    for (Cycle checkpoint = 1; checkpoint < 6'000;
+         checkpoint += 1 + checkpoint / 3) {
+      if (read_every_cycle) {
+        while (lazy.kernel.now() < checkpoint) {
+          lazy.kernel.step();
+          lazy.seg.settle();
+        }
+      } else {
+        lazy.kernel.run(checkpoint - lazy.kernel.now());
+      }
+      while (eager.kernel.now() < checkpoint) eager.kernel.step();
+      const std::string at = label + " cycle " + std::to_string(checkpoint);
+      expect_same_interconnect(lazy, eager, at);
+    }
+    EXPECT_GT(lazy.seg.bridge_stats().hops, 100u) << label;
+    // Per-segment clocks tick far fewer segment-cycles than lockstep.
+    EXPECT_LT(lazy.seg.segment_cycles_executed(),
+              eager.seg.segment_cycles_executed())
+        << label;
+    EXPECT_EQ(eager.seg.segment_cycles_executed(),
+              eager.seg.n_segments() * eager.seg.ticked_cycles())
+        << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GraphsAndDepths, SegmentClocks,
+    ::testing::Combine(::testing::Values(std::string("chain:3"),
+                                         std::string("ring:4"),
+                                         std::string("mesh:2x2")),
+                       ::testing::Values(0u, 1u, 2u)));
 
 // --- platform wiring ---------------------------------------------------------
 

@@ -1,11 +1,14 @@
 // Skip-parity tests: the kernels' quiescence skipping (sim::Component's
 // next_activity/skip contract) must reproduce per-cycle stepping exactly.
-// The oracle is Kernel::step(), which ticks every component every cycle;
-// each case runs the same machine once stepped and once through the
-// skipping run_until and compares everything a run exposes, field by
-// field: the RunResult and its Record, bus and per-core statistics,
-// credit values and underflows, and on segmented topologies the
-// per-segment statistics, bridge depth accounting and backpressure.
+// The oracle is Kernel::step(), which ticks every component every cycle,
+// on a machine whose segmented interconnect (if any) holds every segment
+// current -- so neither the kernel nor the interconnect's per-segment
+// clocks skip anything. Each case runs the same machine once as the
+// oracle and once through the skipping run_until and compares everything
+// a run exposes, field by field: the RunResult and its Record, bus and
+// per-core statistics, credit values and underflows, and on segmented
+// topologies the per-segment statistics and credit filters, bridge depth
+// accounting, backpressure and the hop histogram.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -281,8 +284,10 @@ struct Rig {
   return true;
 }
 
-/// The oracle: Kernel::step() until the predicate fires or the budget.
+/// The oracle: Kernel::step() until the predicate fires or the budget,
+/// every segment bus ticked in every cycle.
 [[nodiscard]] RunResult step_run(Multicore& m, bool all, Cycle max_cycles) {
+  if (m.segmented() != nullptr) m.segmented()->hold_segments_current();
   sim::Kernel& kernel = m.kernel();
   while (kernel.now() < max_cycles) {
     kernel.step();
@@ -554,27 +559,75 @@ TEST(SkipParity, AdaptiveControllerOnTheClassicPath) {
 
 // Graph topologies with bridges unbounded and bounded (backpressure):
 // every core to completion under rp, the TuA to completion under H-CBA
-// (its slow-budget co-runners would need millions of cycles).
+// (its slow-budget co-runners would need millions of cycles), and the
+// WCET protocol's virtual contenders, whose COMP latches read credit
+// budgets behind the lazily clocked segments.
 // The parameters are std::string, not const char*: gtest prints a C string
 // with its address, which would make the test names differ between runs.
 class SkipParityTopology
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+ protected:
+  /// Platform text of the parameters: eight cores, nine on the 3x3 mesh
+  /// (every segment needs a home core).
+  [[nodiscard]] std::string shape() const {
+    const auto& [topology, depth] = GetParam();
+    std::string text = "cores = " + std::to_string(cores()) + "\n";
+    text += "arbiter = rr\ntopology = " + topology + "\n";
+    return text + "bridge_depth = " + depth + "\n";
+  }
+  [[nodiscard]] std::uint32_t cores() const {
+    return std::get<0>(GetParam()) == "mesh:3x3" ? 9 : 8;
+  }
+  [[nodiscard]] std::string name() const {
+    return std::get<0>(GetParam()) + " depth " + std::get<1>(GetParam());
+  }
 };
 
 TEST_P(SkipParityTopology, MatchesStepping) {
-  const auto& [topology, depth] = GetParam();
-  const std::string shape = "cores = 8\narbiter = rr\ntopology = " +
-                            topology + "\nbridge_depth = " + depth + "\n";
-  const std::string name = topology + " depth " + depth;
-  expect_parity({name + " rp", shape + "setup = rp\n", 7, /*all=*/true});
-  expect_parity({name + " hcba", shape + "setup = hcba\n", 7});
+  const std::uint32_t k = cores() - 1;  // real co-runners
+  expect_parity({name() + " rp", shape() + "setup = rp\n", k, /*all=*/true});
+  expect_parity({name() + " hcba", shape() + "setup = hcba\n", k});
+  expect_parity({name() + " con", shape() + "mode = wcet\nsetup = hcba\n"});
+}
+
+// Reads in the middle of a run settle the segments' clocks without
+// perturbing them: stop the skipping run at several budgets, read every
+// statistic there against the oracle stepped to the same cycle, carry
+// on, and finish equal to a run nobody read.
+TEST_P(SkipParityTopology, MidRunReadsMatchTheOracle) {
+  const Case c{name() + " hcba", shape() + "setup = hcba\n", cores() - 1};
+  constexpr Cycle kBudgets[] = {1, 97, 1'000, 4'321, 12'345};
+  Rig read(c, kSeeds[1]);
+  sim::Kernel& kernel = read.machine->kernel();
+  for (const Cycle budget : kBudgets) {
+    kernel.run(budget - kernel.now());
+    ASSERT_EQ(kernel.now(), budget);
+    Rig oracle(c, kSeeds[1]);
+    (void)step_run(*oracle.machine, false, budget);
+    const std::string where = c.name + " at " + std::to_string(budget);
+    // The interconnect's own readers first, then the platform harvest
+    // (segment filters, Record).
+    const bus::SegmentedInterconnect& lazy = *read.machine->segmented();
+    const bus::SegmentedInterconnect& eager = *oracle.machine->segmented();
+    expect_same_bus(lazy.statistics(), eager.statistics(), where);
+    const RunResult rr = read.machine->harvest(false, budget);
+    const RunResult ro = oracle.machine->harvest(false, budget);
+    expect_same_run(*oracle.machine, ro, *read.machine, rr, where);
+  }
+  const Cycle end = kernel.now();
+  Rig unread(c, kSeeds[1]);
+  unread.machine->kernel().run(end);
+  const RunResult ru = unread.machine->harvest(false, end);
+  const RunResult rr = read.machine->harvest(false, end);
+  expect_same_run(*unread.machine, ru, *read.machine, rr, c.name + " unread");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     GraphsAndDepths, SkipParityTopology,
     ::testing::Combine(::testing::Values(std::string("chain:3"),
                                          std::string("ring:4"),
-                                         std::string("mesh:2x2")),
+                                         std::string("mesh:2x2"),
+                                         std::string("mesh:3x3")),
                        ::testing::Values(std::string("unbounded"),
                                          std::string("1"), std::string("2"))));
 
@@ -875,16 +928,23 @@ TEST(SkipTelemetry, SlicesReportExecutedAgainstSimulatedLaneCycles) {
   const KernelCycles cycles = run_campaign_slice(spec, 0, outcomes);
   EXPECT_GT(cycles.executed, 0u);
   EXPECT_LT(cycles.executed, cycles.simulated);
+  // Each executed cycle ticks only the due segments of the four.
+  EXPECT_GT(cycles.segment_cycles_executed, 0u);
+  EXPECT_LT(cycles.segment_cycles_executed, 4 * cycles.executed);
 
   obs::Telemetry telemetry;
   telemetry.executed_cycles = cycles.executed;
   telemetry.simulated_cycles = cycles.simulated;
+  telemetry.segment_cycles_executed = cycles.segment_cycles_executed;
   std::ostringstream doc;
   obs::write_telemetry_json(doc, telemetry, "run");
   EXPECT_NE(doc.str().find("\"kernel\": {\"executed_cycles\": " +
                            std::to_string(cycles.executed) +
                            ", \"simulated_cycles\": " +
-                           std::to_string(cycles.simulated) + "}"),
+                           std::to_string(cycles.simulated) +
+                           ", \"segment_cycles_executed\": " +
+                           std::to_string(cycles.segment_cycles_executed) +
+                           "}"),
             std::string::npos);
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Timeline-tracer smoke: trace the acceptance scenario (4-core H-CBA,
-# max-contention), validate the emitted Chrome trace JSON with
-# tools/trace_check.py, and require stdout byte-identity with and
-# without --trace (instrumentation must not perturb the simulation).
+# max-contention) and a segmented mesh with real co-runners, validate
+# the emitted Chrome trace JSON with tools/trace_check.py, and require
+# stdout byte-identity with and without --trace (instrumentation must
+# not perturb the simulation).
 #
 # Usage: trace_smoke_test.sh CBUS_SIM TRACE_CHECK_PY [PYTHON]
 set -euo pipefail
@@ -37,6 +38,26 @@ printf 'setup = hcba\ntopology = segmented:2\ncores = 4\n' >"$work/seg.cfg"
 "$python" "$checker" "$work/seg_trace.json" --expect-masters 4 \
   --expect-bridges 2
 echo "ok: segmented trace has bridge-queue tracks"
+
+# Real co-runners on a bounded mesh: the credit tracks read budgets
+# behind the per-segment clocks, and tracing must not perturb the run.
+{
+  printf 'scenario = corun\nkernel = canrdr\ntopology = mesh:2x2\n'
+  printf 'cores = 8\nsetup = hcba\narbiter = rr\nbridge_depth = 1\n'
+  printf 'runs = 2\nmax_cycles = 60000\n'
+  for m in 1 2 3 4 5 6 7; do printf 'core%d = stream:2\n' "$m"; done
+} >"$work/mesh_corun.exp"
+"$sim" --experiment "$work/mesh_corun.exp" --csv >"$work/mesh_bare.out"
+"$sim" --experiment "$work/mesh_corun.exp" --csv \
+  --trace "$work/mesh_trace.json" --trace-run 1 >"$work/mesh_traced.out"
+cmp -s "$work/mesh_bare.out" "$work/mesh_traced.out" || {
+  echo "FAIL: --trace changed a segmented corun's stdout"
+  diff "$work/mesh_bare.out" "$work/mesh_traced.out" | head -10
+  exit 1
+}
+"$python" "$checker" "$work/mesh_trace.json" --expect-masters 8 \
+  --expect-bridges 8
+echo "ok: segmented corun trace validates, stdout byte-identical"
 
 # A window restricts capture without changing results.
 "$sim" "${args[@]}" --trace "$work/window.json" --trace-window 100:200 \
