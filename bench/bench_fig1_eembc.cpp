@@ -40,9 +40,8 @@ struct Row {
 };
 
 Row measure(std::string_view kernel, std::uint32_t runs) {
-  auto tua = workloads::make_eembc(kernel);
   CampaignSpec spec;
-  spec.tua = tua.get();
+  spec.tua_factory = [kernel] { return workloads::make_eembc(kernel); };
   spec.runs = runs;
   spec.base_seed = 0xF161;
 

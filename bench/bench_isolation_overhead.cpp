@@ -36,10 +36,9 @@ void print_isolation_overheads() {
   double sum_hcba = 0;
   int n = 0;
   for (const auto kernel : workloads::all_kernels()) {
-    auto tua = workloads::make_eembc(kernel);
     CampaignSpec spec;
     spec.protocol = CampaignSpec::Protocol::kIsolation;
-    spec.tua = tua.get();
+    spec.tua_factory = [kernel] { return workloads::make_eembc(kernel); };
     spec.runs = runs;
     spec.base_seed = 0x150;
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "mbpta/pwcet.hpp"
@@ -38,11 +39,12 @@ void print_mbpta() {
                       "pWCET@1e-9", "pWCET@1e-12", "op-mode max", "bound",
                       "CV ok", "indep ok"});
   for (const auto kernel : workloads::figure1_kernels()) {
-    auto tua = workloads::make_eembc(kernel);
     CampaignSpec analysis_spec;
     analysis_spec.protocol = CampaignSpec::Protocol::kMaxContention;
     analysis_spec.config = PlatformConfig::paper_wcet(BusSetup::kCba);
-    analysis_spec.tua = tua.get();
+    analysis_spec.tua_factory = [kernel] {
+      return workloads::make_eembc(kernel);
+    };
     analysis_spec.runs = runs;
     analysis_spec.base_seed = 0xE57;
     analysis_spec.retain_raw = true;  // mbpta::analyze wants the series
@@ -53,12 +55,13 @@ void print_mbpta() {
     mcfg.block_size = 10;
     const auto result = mbpta::analyze(analysis_runs.samples(), mcfg);
 
-    workloads::StreamingStream s1(0), s2(0), s3(0);
     CampaignSpec op_spec;
     op_spec.protocol = CampaignSpec::Protocol::kCorun;
     op_spec.config = PlatformConfig::paper(BusSetup::kCba);
-    op_spec.tua = tua.get();
-    op_spec.corunners = {&s1, &s2, &s3};
+    op_spec.tua_factory = analysis_spec.tua_factory;
+    op_spec.corunner_factories.assign(3, [] {
+      return std::make_unique<workloads::StreamingStream>(0);
+    });
     op_spec.runs = std::max(10u, runs / 5);
     op_spec.base_seed = 0x0b5;
     const auto op = platform::run_campaign(op_spec);

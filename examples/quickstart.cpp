@@ -24,12 +24,10 @@ int main(int argc, char** argv) {
   std::cout << "cbus quickstart: kernel=" << kernel << ", " << runs
             << " randomized runs per configuration\n\n";
 
-  auto tua = workloads::make_eembc(kernel);
-
   // One CampaignSpec describes a whole campaign; protocol and platform
-  // vary per measurement below.
+  // vary per measurement below. Every run builds its own workload stream.
   platform::CampaignSpec spec;
-  spec.tua = tua.get();
+  spec.tua_factory = [&kernel] { return workloads::make_eembc(kernel); };
   spec.runs = runs;
   spec.base_seed = 0xC0FFEE;
 

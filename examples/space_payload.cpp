@@ -9,6 +9,7 @@
 //   ./space_payload [runs]
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 
 #include "platform/platform_config.hpp"
 #include "platform/scenarios.hpp"
@@ -21,18 +22,10 @@ int main(int argc, char** argv) {
   const auto runs =
       static_cast<std::uint32_t>(argc > 1 ? std::atoi(argv[1]) : 10);
 
+  platform::CampaignSpec spec;
   // The control task: the cache-handling kernel (moderate bus usage,
   // latency-critical).
-  auto control = workloads::make_eembc("cacheb");
-
-  // Payload applications: streaming reads straight through to DRAM.
-  workloads::StreamingStream payload1(0);
-  workloads::StreamingStream payload2(0);
-  workloads::StreamingStream payload3(0);
-  const std::vector<cpu::OpStream*> payloads{&payload1, &payload2, &payload3};
-
-  platform::CampaignSpec spec;
-  spec.tua = control.get();
+  spec.tua_factory = [] { return workloads::make_eembc("cacheb"); };
   spec.runs = runs;
   spec.base_seed = 0x5ACE;
 
@@ -42,8 +35,11 @@ int main(int argc, char** argv) {
   std::cout << "control task alone          : " << iso.exec_time().mean()
             << " cycles\n";
 
+  // Three payload applications: streaming reads straight through to DRAM.
   spec.protocol = platform::CampaignSpec::Protocol::kCorun;
-  spec.corunners = payloads;
+  spec.corunner_factories.assign(3, [] {
+    return std::make_unique<workloads::StreamingStream>(0);
+  });
   for (const auto setup :
        {platform::BusSetup::kRp, platform::BusSetup::kCba,
         platform::BusSetup::kHcba}) {

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   auto replay_once = [&](trace::BusTraceRecorder* recorder) {
     auto stream = trace::replay(loaded);
     platform::Multicore machine(cfg, 7, *stream);
-    if (recorder != nullptr) machine.bus().set_observer(recorder);
+    if (recorder != nullptr) machine.set_bus_observer(recorder);
     return machine.run().tua_cycles;
   };
 

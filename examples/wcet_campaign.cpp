@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "mbpta/pwcet.hpp"
@@ -29,9 +30,8 @@ int main(int argc, char** argv) {
   std::cout << "MBPTA campaign for '" << kernel << "' on the CBA bus ("
             << runs << " analysis runs)\n\n";
 
-  auto tua = workloads::make_eembc(kernel);
   platform::CampaignSpec spec;
-  spec.tua = tua.get();
+  spec.tua_factory = [&kernel] { return workloads::make_eembc(kernel); };
   spec.runs = runs;
   spec.base_seed = 0xE57;
   // MBPTA fits the raw execution-time series, so keep it.
@@ -78,12 +78,13 @@ int main(int argc, char** argv) {
 
   // Validation: operation-mode execution with real streaming co-runners
   // must stay below the pWCET estimates.
-  workloads::StreamingStream s1(0), s2(0), s3(0);
   platform::CampaignSpec op_spec;
   op_spec.protocol = platform::CampaignSpec::Protocol::kCorun;
   op_spec.config = platform::PlatformConfig::paper(platform::BusSetup::kCba);
-  op_spec.tua = tua.get();
-  op_spec.corunners = {&s1, &s2, &s3};
+  op_spec.tua_factory = spec.tua_factory;
+  op_spec.corunner_factories.assign(3, [] {
+    return std::make_unique<workloads::StreamingStream>(0);
+  });
   op_spec.runs = runs / 4 + 1;
   op_spec.base_seed = 0x0b5;
   const auto op = platform::run_campaign(op_spec);

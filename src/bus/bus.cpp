@@ -6,7 +6,7 @@ namespace cbus::bus {
 
 NonSplitBus::NonSplitBus(const BusConfig& config, Arbiter& arbiter,
                          BusSlave& slave)
-    : sim::Component("bus"),
+    : Interconnect("bus"),
       config_(config),
       arbiter_(arbiter),
       slave_(slave),

@@ -100,15 +100,21 @@ struct BusStatistics {
   }
 };
 
-class NonSplitBus final : public sim::Component, public BusPort {
+class NonSplitBus final : public Interconnect {
  public:
   NonSplitBus(const BusConfig& config, Arbiter& arbiter, BusSlave& slave);
 
   /// Install the CBA filter (nullptr restores pass-through arbitration).
   void set_filter(EligibilityFilter* filter) noexcept { filter_ = filter; }
+  void set_filter(std::uint32_t segment, EligibilityFilter* filter) override {
+    CBUS_EXPECTS(segment == 0);
+    filter_ = filter;
+  }
 
   /// Install a passive activity observer (nullptr detaches).
-  void set_observer(BusObserver* observer) noexcept { observer_ = observer; }
+  void set_observer(BusObserver* observer) noexcept override {
+    observer_ = observer;
+  }
 
   /// Register the completion-callback target for a master id.
   void connect_master(MasterId master, BusMaster& callbacks) override;
@@ -197,12 +203,16 @@ class NonSplitBus final : public sim::Component, public BusPort {
     }
   }
 
-  [[nodiscard]] const BusStatistics& statistics() const noexcept {
+  [[nodiscard]] const BusStatistics& statistics() const noexcept override {
     return stats_;
   }
   void reset_statistics();
 
   [[nodiscard]] std::uint32_t n_masters() const noexcept {
+    return config_.n_masters;
+  }
+  [[nodiscard]] std::uint32_t n_local_masters(
+      std::uint32_t /*segment*/) const override {
     return config_.n_masters;
   }
   [[nodiscard]] const Arbiter& arbiter() const noexcept { return arbiter_; }

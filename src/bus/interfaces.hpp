@@ -1,14 +1,18 @@
 // Interfaces between the bus and its neighbours: masters (cores, DMA,
-// virtual contenders), the slave side (L2 + memory), and the pluggable
-// eligibility filter that CBA implements.
+// virtual contenders), the slave side (L2 + memory), the pluggable
+// eligibility filter that CBA implements, and the interconnect the
+// platform owns.
 #pragma once
 
 #include <cstdint>
 
 #include "bus/request.hpp"
 #include "common/types.hpp"
+#include "sim/component.hpp"
 
 namespace cbus::bus {
+
+struct BusStatistics;
 
 /// Callbacks the bus invokes on the owner of a request.
 class BusMaster {
@@ -143,6 +147,42 @@ class EligibilityFilter {
   virtual void skip(MasterId /*holder*/, Cycle /*k*/) {}
 
   virtual void reset() = 0;
+};
+
+/// The interconnect a platform wires every master to (paper §III-A: CBA
+/// filters the requests in front of whatever bus and arbiter the SoC
+/// has): a kernel component behind the master-side port, with global
+/// statistics, a passive observer hook and one eligibility filter per
+/// segment. A single bus is one segment whose local slot of master m is
+/// m; the segmented interconnect homes each master on one of several
+/// segment buses.
+class Interconnect : public sim::Component, public BusPort {
+ public:
+  using sim::Component::Component;
+
+  /// Global per-master accounting in BusStatistics shape.
+  [[nodiscard]] virtual const BusStatistics& statistics() const = 0;
+
+  /// Install a passive BusObserver (nullptr detaches).
+  virtual void set_observer(BusObserver* observer) = 0;
+
+  /// Install segment `segment`'s eligibility filter (nullptr detaches).
+  /// The filter's master ids are the segment's local slots.
+  virtual void set_filter(std::uint32_t segment,
+                          EligibilityFilter* filter) = 0;
+
+  [[nodiscard]] virtual std::uint32_t n_segments() const { return 1; }
+  /// Local masters of segment `segment`: the width of its filter.
+  [[nodiscard]] virtual std::uint32_t n_local_masters(
+      std::uint32_t segment) const = 0;
+  /// Segment whose filter holds `master`'s credit.
+  [[nodiscard]] virtual std::uint32_t home_segment(MasterId /*master*/) const {
+    return 0;
+  }
+  /// `master`'s slot on its home segment.
+  [[nodiscard]] virtual std::uint32_t local_slot(MasterId master) const {
+    return master;
+  }
 };
 
 }  // namespace cbus::bus

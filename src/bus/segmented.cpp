@@ -44,7 +44,7 @@ void SegmentedConfig::validate() const {
 SegmentedInterconnect::SegmentedInterconnect(
     const SegmentedConfig& config, BusSlave& slave,
     const ArbiterFactory& make_segment_arbiter)
-    : sim::Component("segmented-interconnect"),
+    : Interconnect("segmented-interconnect"),
       config_(config),
       slave_(slave),
       filters_(config.n_segments(), nullptr),
@@ -306,16 +306,16 @@ std::uint64_t SegmentedInterconnect::backpressure_stalls(
   return segments_[segment].stalls.sum(clock_);
 }
 
-BusStatistics SegmentedInterconnect::statistics() const {
+const BusStatistics& SegmentedInterconnect::statistics() const {
   settle();
-  BusStatistics out = global_;
+  view_ = global_;
   for (const Segment& seg : segments_) {
     const BusStatistics& s = seg.bus->statistics();
-    out.busy_cycles += s.busy_cycles;
-    out.idle_cycles += s.idle_cycles;
-    out.total_cycles += s.total_cycles;
+    view_.busy_cycles += s.busy_cycles;
+    view_.idle_cycles += s.idle_cycles;
+    view_.total_cycles += s.total_cycles;
   }
-  return out;
+  return view_;
 }
 
 const BusStatistics& SegmentedInterconnect::segment_statistics(

@@ -139,7 +139,7 @@ struct BridgeStats {
   std::uint64_t local_transactions = 0;   ///< completions served at home
 };
 
-class SegmentedInterconnect final : public sim::Component, public BusPort {
+class SegmentedInterconnect final : public Interconnect {
  public:
   /// Builds the arbiter instance of one segment (`n_local` local
   /// masters). Called once per segment, in segment order, so randomized
@@ -190,7 +190,9 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// reports, so one BusObserver implementation covers both topologies.
   /// Transit hops are not observed as events; their effect shows up in
   /// the bridge queue depths below.
-  void set_observer(BusObserver* observer) noexcept { observer_ = observer; }
+  void set_observer(BusObserver* observer) noexcept override {
+    observer_ = observer;
+  }
 
   /// Install segment `segment`'s eligibility filter (nullptr detaches).
   /// Local slot numbering (the filter's master ids): home cores in
@@ -204,10 +206,10 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// path. With a bounded `bridge_depth` the interconnect composes its
   /// own backpressure mask with the installed filter (filter first,
   /// then the blocked-next-hop mask).
-  void set_filter(std::uint32_t segment, EligibilityFilter* filter);
+  void set_filter(std::uint32_t segment, EligibilityFilter* filter) override;
 
   // --- topology introspection -------------------------------------------
-  [[nodiscard]] std::uint32_t n_segments() const noexcept {
+  [[nodiscard]] std::uint32_t n_segments() const noexcept override {
     return config_.n_segments();
   }
   [[nodiscard]] std::uint32_t n_masters() const noexcept {
@@ -217,14 +219,15 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     return config_.topology;
   }
   /// Local masters of a segment: home cores + bridge ingress ports.
-  [[nodiscard]] std::uint32_t n_local_masters(std::uint32_t segment) const;
+  [[nodiscard]] std::uint32_t n_local_masters(
+      std::uint32_t segment) const override;
   /// Home cores of a segment, ascending global id; a core's local slot is
   /// its index in this span.
   [[nodiscard]] std::span<const MasterId> segment_cores(
       std::uint32_t segment) const;
-  [[nodiscard]] std::uint32_t home_segment(MasterId master) const;
+  [[nodiscard]] std::uint32_t home_segment(MasterId master) const override;
   /// Local slot of a core on its home segment.
-  [[nodiscard]] std::uint32_t local_slot(MasterId master) const;
+  [[nodiscard]] std::uint32_t local_slot(MasterId master) const override;
   /// Bridges in delivery order = Topology::edges() order (for the chain:
   /// (s -> s+1), (s+1 -> s) per adjacency, the historical contract).
   [[nodiscard]] std::uint32_t n_bridges() const noexcept {
@@ -242,7 +245,8 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// occupied on the transaction's path, and busy/idle/total aggregate
   /// over all segments (total_cycles = n_segments x ticked cycles, so
   /// occupancy shares stay fractions of delivered interconnect capacity).
-  [[nodiscard]] BusStatistics statistics() const;
+  /// The view is assembled by every call (a later call overwrites it).
+  [[nodiscard]] const BusStatistics& statistics() const override;
   [[nodiscard]] const BusStatistics& segment_statistics(
       std::uint32_t segment) const;
   [[nodiscard]] const BridgeStats& bridge_stats() const noexcept {
@@ -483,6 +487,7 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
 
   /// Live global per-master counters; busy/idle/total assembled on demand.
   BusStatistics global_;
+  mutable BusStatistics view_;  ///< what statistics() assembled last
   BridgeStats bridge_stats_;
   std::vector<std::uint64_t> hop_histogram_;  ///< per completed hop count
   /// The interconnect's clock: the next cycle to tick. Kernels start at

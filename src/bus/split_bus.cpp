@@ -6,7 +6,7 @@ namespace cbus::bus {
 
 SplitBus::SplitBus(const BusConfig& config, Arbiter& arbiter,
                    SplitSlave& slave)
-    : sim::Component("split-bus"),
+    : Interconnect("split-bus"),
       config_(config),
       arbiter_(arbiter),
       slave_(slave),

@@ -56,11 +56,17 @@ class SplitSlave {
                                                 Cycle now) = 0;
 };
 
-class SplitBus final : public sim::Component, public BusPort {
+class SplitBus final : public Interconnect {
  public:
   SplitBus(const BusConfig& config, Arbiter& arbiter, SplitSlave& slave);
 
   void set_filter(EligibilityFilter* filter) noexcept { filter_ = filter; }
+  void set_filter(std::uint32_t segment, EligibilityFilter* filter) override {
+    CBUS_EXPECTS(segment == 0);
+    filter_ = filter;
+  }
+  /// The split protocol has no observer hooks: a documented no-op.
+  void set_observer(BusObserver* /*observer*/) noexcept override {}
   void connect_master(MasterId master, BusMaster& callbacks) override;
 
   /// Raise a request. One outstanding transaction per master.
@@ -77,10 +83,14 @@ class SplitBus final : public sim::Component, public BusPort {
 
   void tick(Cycle now) override;
 
-  [[nodiscard]] const BusStatistics& statistics() const noexcept {
+  [[nodiscard]] const BusStatistics& statistics() const noexcept override {
     return stats_;
   }
   [[nodiscard]] std::uint32_t n_masters() const noexcept {
+    return config_.n_masters;
+  }
+  [[nodiscard]] std::uint32_t n_local_masters(
+      std::uint32_t /*segment*/) const override {
     return config_.n_masters;
   }
 

@@ -64,25 +64,10 @@ void probe_fairness(const bus::BusStatistics& stats, Record& out) {
   out.set("fair.maxmin_grants", stats::max_min_ratio(grants));
 }
 
-void probe_credit(const core::CreditFilter* filter, Record& out) {
-  if (filter == nullptr) {
-    out.set("credit.underflows", 0.0);
-    return;
-  }
-  const core::CreditState& state = filter->state();
-  out.set("credit.underflows",
-          static_cast<double>(state.underflow_clamps()));
-  std::vector<double> budgets(state.config().n_masters);
-  for (std::size_t m = 0; m < budgets.size(); ++m) {
-    budgets[m] = state.budget_cycles(static_cast<MasterId>(m));
-  }
-  out.set("credit.budget", std::move(budgets));
-}
-
 void probe_credit(std::uint64_t underflows, std::span<const double> budgets,
                   Record& out) {
   out.set("credit.underflows", static_cast<double>(underflows));
-  if (budgets.empty()) return;  // no CBA: mirror the null-filter overload
+  if (budgets.empty()) return;  // no CBA: no budgets to report
   out.set("credit.budget",
           std::vector<double>(budgets.begin(), budgets.end()));
 }

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "bus/bus.hpp"
-#include "core/credit_filter.hpp"
 #include "cpu/core_config.hpp"
 #include "metrics/record.hpp"
 
@@ -47,15 +46,10 @@ void probe_bus(const bus::BusStatistics& stats, Record& out);
 /// fair.jain_grants, fair.maxmin_occupancy, fair.maxmin_grants.
 void probe_fairness(const bus::BusStatistics& stats, Record& out);
 
-/// CBA credit accounting: credit.underflows (0 when no filter is
-/// installed) and, with a filter, the per-master credit.budget vector of
-/// end-of-run budgets in cycles.
-void probe_credit(const core::CreditFilter* filter, Record& out);
-
-/// Segmented-topology form of probe_credit: `underflows` summed over the
-/// per-segment filters, `budgets` the per-master end-of-run budgets in
-/// cycles read from each master's home-segment filter (empty = no CBA).
-/// Emits the same keys as the single-bus overload.
+/// CBA credit accounting: credit.underflows (`underflows`, summed over
+/// the machine's credit filters; 0 without CBA) and, unless `budgets` is
+/// empty (no CBA), the per-master credit.budget vector of end-of-run
+/// budgets in cycles, each read from the master's home-segment filter.
 void probe_credit(std::uint64_t underflows, std::span<const double> budgets,
                   Record& out);
 

@@ -6,7 +6,7 @@
 #include "bus/segmented.hpp"
 #include "common/build_info.hpp"
 #include "common/contracts.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/multicore.hpp"
 
 namespace cbus::obs {
@@ -56,22 +56,13 @@ void Timeline::attach(platform::Multicore& machine) {
   machine.set_bus_observer(this);
   seg_ = machine.segmented();
 
-  // Per-master credit readers: the single CBA filter covers every master
-  // directly; under the segmented topology a master's budget lives in its
-  // home segment's filter at its local slot. Non-CBA setups have no
-  // credit state and simply get no credit tracks.
-  if (machine.credit_filter() != nullptr) {
-    for (MasterId m = 0; m < n_masters_; ++m) {
-      credit_.push_back({&machine.credit_filter()->state(), m});
-    }
-  } else if (seg_ != nullptr &&
-             machine.segment_filter(seg_->home_segment(0)) != nullptr) {
-    for (MasterId m = 0; m < n_masters_; ++m) {
-      core::CreditFilter* filter =
-          machine.segment_filter(seg_->home_segment(m));
-      CBUS_EXPECTS(filter != nullptr);
-      credit_.push_back({&filter->state(), seg_->local_slot(m)});
-    }
+  // Per-master credit readers: a master's budget lives in its home
+  // segment's filter at its local slot. Non-CBA setups have no credit
+  // state and simply get no credit tracks.
+  for (MasterId m = 0; m < n_masters_; ++m) {
+    const platform::CreditSlot credit = machine.credit_of(m);
+    if (credit.state == nullptr) break;
+    credit_.push_back({credit.state, credit.slot});
   }
 
   const auto named = [](const char* prefix, std::uint32_t n) {

@@ -1,5 +1,6 @@
 #include "platform/multicore.hpp"
 
+#include "bus/split_bus.hpp"
 #include "common/contracts.hpp"
 #include "metrics/probes.hpp"
 
@@ -7,30 +8,32 @@ namespace cbus::platform {
 
 namespace {
 
-/// Segment `cores`' credit config carved from the global one: core slots
-/// keep their GLOBAL Table-I parameters (rates, caps, thresholds), so the
-/// paper's per-core budget shapes each core on its home segment
-/// unchanged. Bridge ingress slots are credit-exempt (full recovery,
-/// zero threshold) because the traffic they carry is charged at the
-/// SOURCE: the interconnect debits every foreign-hop occupancy against
-/// the origin core's home budget (EligibilityFilter::on_remote_occupancy
-/// -> CreditState::charge), so a budget bounds its core's occupancy of
-/// the whole interconnect and gating the bridge slot too would charge
-/// the same cycles twice and starve cross-segment flows.
+/// Segment `segment`'s credit config carved from the global one: core
+/// slots keep their GLOBAL Table-I parameters (rates, caps, thresholds),
+/// so the paper's per-core budget shapes each core on its home segment
+/// unchanged, and on the single bus (one segment, slot m = master m) the
+/// result is the global config itself. Bridge ingress slots are
+/// credit-exempt (full recovery, zero threshold) because the traffic they
+/// carry is charged at the SOURCE: the interconnect debits every
+/// foreign-hop occupancy against the origin core's home budget
+/// (EligibilityFilter::on_remote_occupancy -> CreditState::charge), so a
+/// budget bounds its core's occupancy of the whole interconnect and
+/// gating the bridge slot too would charge the same cycles twice and
+/// starve cross-segment flows.
 [[nodiscard]] core::CbaConfig segment_cba(const core::CbaConfig& global,
-                                          std::span<const MasterId> cores,
-                                          std::uint32_t n_local) {
-  core::CbaConfig cfg;
+                                          const bus::Interconnect& bus,
+                                          std::uint32_t segment) {
+  const std::uint32_t n_local = bus.n_local_masters(segment);
+  core::CbaConfig cfg = global;
   cfg.n_masters = n_local;
-  cfg.max_latency = global.max_latency;
-  cfg.scale = global.scale;
   const std::uint64_t bridge_cap = global.scale * global.max_latency;
   cfg.increment.assign(n_local, global.scale);
   cfg.saturation.assign(n_local, bridge_cap);
   cfg.threshold.assign(n_local, 0);
   cfg.initial.assign(n_local, bridge_cap);
-  for (std::size_t slot = 0; slot < cores.size(); ++slot) {
-    const MasterId m = cores[slot];
+  for (MasterId m = 0; m < global.n_masters; ++m) {
+    if (bus.home_segment(m) != segment) continue;
+    const std::uint32_t slot = bus.local_slot(m);
     cfg.increment[slot] = global.increment[m];
     cfg.saturation[slot] = global.saturation[m];
     cfg.threshold[slot] = global.threshold[m];
@@ -74,30 +77,32 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
   const bus::BusConfig bus_cfg{config_.n_cores,
                                config_.overlapped_arbitration};
   if (config_.topology.segmented()) {
-    seg_bus_ = std::make_unique<bus::SegmentedInterconnect>(
+    bus_ = std::make_unique<bus::SegmentedInterconnect>(
         config_.segmented_config(), *l2_,
         [this](std::uint32_t n_local, std::uint32_t /*segment*/) {
           return bus::make_arbiter(config_.arbiter, n_local, bank_,
                                    config_.tdma_slot);
         });
   } else if (config_.bus_protocol == BusProtocol::kSplit) {
-    split_bus_ = std::make_unique<bus::SplitBus>(bus_cfg, *arbiter_, *l2_);
+    bus_ = std::make_unique<bus::SplitBus>(bus_cfg, *arbiter_, *l2_);
   } else {
     bus_ = std::make_unique<bus::NonSplitBus>(bus_cfg, *arbiter_, *l2_);
   }
+  // Engine mode is the single non-split bus (checked above).
+  bus::NonSplitBus* const engine_bus =
+      engine_ != nullptr ? static_cast<bus::NonSplitBus*>(bus_.get())
+                         : nullptr;
 
-  if (config_.cba.has_value() && seg_bus_) {
-    // Per-segment credit accounting: one CreditFilter per segment over
-    // that segment's local slots, carved out of the (optional) external
-    // SoA lane in segment order.
+  if (config_.cba.has_value()) {
+    // One CreditFilter per segment over that segment's local slots,
+    // carved out of the (optional) external SoA lane in segment order.
     CBUS_EXPECTS_MSG(credit_lane.empty() ||
                          credit_lane.slots >= config_.credit_slots(),
-                     "credit lane smaller than the segmented slot count");
+                     "credit lane smaller than the machine's slot count");
     std::size_t offset = 0;
-    for (std::uint32_t s = 0; s < seg_bus_->n_segments(); ++s) {
-      const std::uint32_t n_local = seg_bus_->n_local_masters(s);
-      core::CbaConfig seg_cfg =
-          segment_cba(*config_.cba, seg_bus_->segment_cores(s), n_local);
+    for (std::uint32_t s = 0; s < bus_->n_segments(); ++s) {
+      const std::uint32_t n_local = bus_->n_local_masters(s);
+      core::CbaConfig seg_cfg = segment_cba(*config_.cba, *bus_, s);
       auto filter =
           credit_lane.empty()
               ? std::make_unique<core::CreditFilter>(std::move(seg_cfg))
@@ -105,30 +110,19 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
                     std::move(seg_cfg),
                     credit_lane.subview(offset, n_local));
       offset += n_local;
-      seg_bus_->set_filter(s, filter.get());
-      seg_filters_.push_back(std::move(filter));
+      bus_->set_filter(s, filter.get());
+      filters_.push_back(std::move(filter));
     }
-    if (config_.mode == PlatformMode::kWcetEstimation &&
-        config_.tua_zero_initial_budget) {
-      seg_filters_[seg_bus_->home_segment(0)]->state().set_budget(
-          seg_bus_->local_slot(0), 0);
-    }
-  } else if (config_.cba.has_value()) {
-    filter_ = credit_lane.empty()
-                  ? std::make_unique<core::CreditFilter>(*config_.cba)
-                  : std::make_unique<core::CreditFilter>(*config_.cba,
-                                                         credit_lane);
-    if (bus_) bus_->set_filter(filter_.get());
-    if (split_bus_) split_bus_->set_filter(filter_.get());
     if (config_.mode == PlatformMode::kWcetEstimation &&
         config_.tua_zero_initial_budget) {
       // Measurements for the TuA are collected under worst conditions,
       // "setting its initial budget to zero" (paper §III-B).
-      filter_->state().set_budget(0, 0);
+      const CreditSlot tua_credit = credit_of(0);
+      tua_credit.state->set_budget(tua_credit.slot, 0);
     }
   }
 
-  bus::BusPort& port = bus_port();
+  bus::BusPort& port = *bus_;
   // Master 0: the task under analysis.
   cores_.push_back(std::make_unique<cpu::InOrderCore>(0, config_.core, tua,
                                                       port, bank_));
@@ -149,23 +143,18 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
       vc.tua = 0;
       vc.hold = config_.contender_hold;
       vc.policy = config_.contender_policy;
-      if (engine_ != nullptr) {
+      if (engine_bus != nullptr) {
         // Batched fast path: the engine's contender bank drives this
         // slot's COMP latch vertically across lanes -- no component.
-        engine_->add_contender(engine_lane, vc, *bus_);
+        engine_->add_contender(engine_lane, vc, *engine_bus);
         continue;
       }
-      const core::CreditState* credits = nullptr;
-      if (seg_bus_ && !seg_filters_.empty()) {
-        // Segmented: the contender's BUDGi lives in its home segment's
-        // credit state, at its local slot.
-        vc.credit_slot = seg_bus_->local_slot(m);
-        credits = &seg_filters_[seg_bus_->home_segment(m)]->state();
-      } else if (filter_) {
-        credits = &filter_->state();
-      }
+      // The contender's BUDGi: its home segment's credit state, at its
+      // local slot.
+      const CreditSlot credit = credit_of(m);
+      vc.credit_slot = credit.slot;
       virtual_contenders_.push_back(
-          std::make_unique<core::VirtualContender>(vc, port, credits));
+          std::make_unique<core::VirtualContender>(vc, port, credit.state));
     }
   }
 
@@ -173,32 +162,34 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
   // controller exists for introspection but is never registered with the
   // kernel: `controller = static` machines tick the exact component list
   // they always have, keeping pre-controller campaigns byte-identical.
-  if (filter_ != nullptr) {
+  if (!filters_.empty() && !config_.topology.segmented()) {
     controller_ = ctrl::make_controller(
-        config_.controller, filter_->state(),
-        bus_ ? bus_->statistics() : split_bus_->statistics());
+        config_.controller, filters_.front()->state(), bus_->statistics());
   }
 
-  // Tick order: cores, then contenders, then the bus (see header), then
-  // the adaptive controller (it reads the bus statistics the cycle just
-  // produced and retunes increments for the next one).
+  // Tick order: cores, then contenders, then the interconnect (see
+  // header), then the adaptive controller (it reads the bus statistics
+  // the cycle just produced and retunes increments for the next one).
   //
   // Engine mode keeps only the cores in the kernel: the engine stage
   // runs the contender bank, the phased bus tick and the vertical credit
   // update in that same order, and attach() registers the adaptive
   // controller as a post-stage component.
   for (auto& core_ptr : cores_) kernel_.add(*core_ptr);
-  if (engine_ != nullptr) {
-    engine_->set_lane(engine_lane, *bus_, filter_->state());
+  if (engine_bus != nullptr) {
+    engine_->set_lane(engine_lane, *engine_bus, filters_.front()->state());
     return;
   }
   for (auto& vc : virtual_contenders_) kernel_.add(*vc);
-  if (bus_) kernel_.add(*bus_);
-  if (split_bus_) kernel_.add(*split_bus_);
-  if (seg_bus_) kernel_.add(*seg_bus_);
+  kernel_.add(*bus_);
   if (controller_ && config_.controller.adaptive()) {
     kernel_.add(*controller_);
   }
+}
+
+CreditSlot Multicore::credit_of(MasterId m) const {
+  if (filters_.empty()) return {};
+  return {&filters_[bus_->home_segment(m)]->state(), bus_->local_slot(m)};
 }
 
 RunResult Multicore::run(Cycle max_cycles) {
@@ -239,13 +230,7 @@ RunResult Multicore::collect(bool finished, Cycle executed) const {
   result.tua_cycles = cores_.front()->done() ? cores_.front()->finish_cycle()
                                              : executed;
   result.tua_stats = cores_.front()->stats();
-  if (bus_) {
-    result.bus_stats = bus_->statistics();
-  } else if (seg_bus_) {
-    result.bus_stats = seg_bus_->statistics();
-  } else {
-    result.bus_stats = split_bus_->statistics();
-  }
+  result.bus_stats = bus_->statistics();
   result.core_finish.reserve(cores_.size());
   for (const auto& c : cores_) {
     result.core_finish.push_back(c->done() ? c->finish_cycle() : 0);
@@ -253,32 +238,21 @@ RunResult Multicore::collect(bool finished, Cycle executed) const {
   metrics::probe_tua(result.tua_cycles, result.tua_stats, result.record);
   metrics::probe_bus(result.bus_stats, result.record);
   metrics::probe_fairness(result.bus_stats, result.record);
-  if (seg_bus_) {
-    // The segment filters are read directly: settle the segments' clocks.
-    seg_bus_->settle();
-    std::uint64_t underflows = 0;
-    std::vector<double> budgets;
-    if (!seg_filters_.empty()) {
-      for (const auto& f : seg_filters_) {
-        underflows += f->state().underflow_clamps();
-      }
-      budgets.resize(config_.n_cores);
-      for (MasterId m = 0; m < config_.n_cores; ++m) {
-        budgets[m] = seg_filters_[seg_bus_->home_segment(m)]
-                         ->state()
-                         .budget_cycles(seg_bus_->local_slot(m));
-      }
+  // The filters are read directly: settle a lazily clocked interconnect.
+  bus_->settle();
+  std::uint64_t underflows = 0;
+  for (const auto& f : filters_) underflows += f->state().underflow_clamps();
+  std::vector<double> budgets;
+  if (!filters_.empty()) {
+    budgets.resize(config_.n_cores);
+    for (MasterId m = 0; m < config_.n_cores; ++m) {
+      const CreditSlot credit = credit_of(m);
+      budgets[m] = credit.state->budget_cycles(credit.slot);
     }
-    result.credit_underflows = underflows;
-    metrics::probe_credit(underflows, budgets, result.record);
-    metrics::probe_segments(seg_bus_.get(), result.bus_stats,
-                            result.record);
-  } else {
-    result.credit_underflows =
-        filter_ ? filter_->state().underflow_clamps() : 0;
-    metrics::probe_credit(filter_.get(), result.record);
-    metrics::probe_segments(nullptr, result.bus_stats, result.record);
   }
+  result.credit_underflows = underflows;
+  metrics::probe_credit(underflows, budgets, result.record);
+  metrics::probe_segments(segmented(), result.bus_stats, result.record);
   // ctrl.* keys appear only for adaptive machines (probe_ctrl skips the
   // static controller), so static records keep the pre-controller shape.
   metrics::probe_ctrl(controller_.get(), result.record);

@@ -7,7 +7,11 @@
 //
 // Wiring and tick order (determinism contract):
 //   TuA core (master 0) -> other real cores -> WCET-mode virtual
-//   contenders -> the bus.
+//   contenders -> the interconnect.
+// Every master reaches the interconnect -- the non-split bus, the split
+// bus or the segmented interconnect, one bus::Interconnect either way --
+// through the same port, and CBA sits in front of it as one credit
+// filter per segment (the single bus is segment 0).
 // Cores raise requests during their tick; the bus arbitrates the same
 // cycle and starts transfers the next cycle (1-cycle arbitration).
 //
@@ -22,7 +26,6 @@
 #include "bus/arbiter.hpp"
 #include "bus/bus.hpp"
 #include "bus/segmented.hpp"
-#include "bus/split_bus.hpp"
 #include "core/batch_engine.hpp"
 #include "core/credit_filter.hpp"
 #include "core/virtual_contender.hpp"
@@ -52,6 +55,13 @@ struct RunResult {
   std::uint64_t credit_underflows = 0;
   std::vector<Cycle> core_finish;  ///< per real core; 0 if unfinished
   metrics::Record record;          ///< standard per-run metrics
+};
+
+/// Where one master's CBA credit lives: its home segment's credit state
+/// and its slot there (`state` is null without CBA).
+struct CreditSlot {
+  core::CreditState* state = nullptr;
+  MasterId slot = 0;
 };
 
 class Multicore {
@@ -113,32 +123,25 @@ class Multicore {
   }
 
   // --- introspection (tests, benches) -----------------------------------
-  /// The non-split bus (null when the split protocol is configured).
-  [[nodiscard]] bus::NonSplitBus& bus() noexcept {
-    CBUS_EXPECTS(bus_ != nullptr);
-    return *bus_;
+  /// The interconnect every master is wired to.
+  [[nodiscard]] bus::Interconnect& bus_port() noexcept { return *bus_; }
+  /// The segmented interconnect (null unless the topology is segmented).
+  [[nodiscard]] bus::SegmentedInterconnect* segmented() const noexcept {
+    return dynamic_cast<bus::SegmentedInterconnect*>(bus_.get());
   }
-  /// The active bus port, protocol- and topology-independent.
-  [[nodiscard]] bus::BusPort& bus_port() noexcept {
-    if (bus_) return *bus_;
-    if (seg_bus_) return *seg_bus_;
-    return *split_bus_;
-  }
-  /// The segmented interconnect (null unless topology = segmented:<n>).
-  [[nodiscard]] bus::SegmentedInterconnect* segmented() noexcept {
-    return seg_bus_.get();
-  }
-  /// Segment `s`'s credit filter (CBA + segmented topology only).
+  /// Segment `s`'s credit filter (null without CBA or past the last
+  /// segment; the single bus is segment 0).
   [[nodiscard]] core::CreditFilter* segment_filter(std::uint32_t s) {
-    return s < seg_filters_.size() ? seg_filters_[s].get() : nullptr;
+    return s < filters_.size() ? filters_[s].get() : nullptr;
   }
+  /// Master `m`'s credit: its home segment's credit state and its local
+  /// slot there ({nullptr, 0} without CBA). Read it after
+  /// bus_port().settle() -- a lazily clocked segment folds there.
+  [[nodiscard]] CreditSlot credit_of(MasterId m) const;
   [[nodiscard]] mem::PartitionedL2& l2() noexcept { return *l2_; }
   [[nodiscard]] cpu::InOrderCore& core(std::size_t i) { return *cores_.at(i); }
   [[nodiscard]] std::size_t real_cores() const noexcept {
     return cores_.size();
-  }
-  [[nodiscard]] core::CreditFilter* credit_filter() noexcept {
-    return filter_.get();
   }
   /// The credit controller over the Table-I increments (null without a
   /// CBA config or on the segmented topology). Static for
@@ -146,14 +149,12 @@ class Multicore {
   [[nodiscard]] ctrl::CreditController* controller() noexcept {
     return controller_.get();
   }
-  /// Install a passive BusObserver on the active interconnect (the
-  /// non-split bus or the segmented interconnect; the split protocol has
-  /// no observer hooks, so this is a documented no-op there). Observers
-  /// must not mutate state; the tracer relies on an instrumented run
-  /// being bit-identical to a bare one.
+  /// Install a passive BusObserver on the interconnect (the split
+  /// protocol has no observer hooks, so this is a documented no-op
+  /// there). Observers must not mutate state; the tracer relies on an
+  /// instrumented run being bit-identical to a bare one.
   void set_bus_observer(bus::BusObserver* observer) noexcept {
-    if (bus_) bus_->set_observer(observer);
-    if (seg_bus_) seg_bus_->set_observer(observer);
+    bus_->set_observer(observer);
   }
   [[nodiscard]] sim::Kernel& kernel() noexcept { return kernel_; }
   [[nodiscard]] const PlatformConfig& config() const noexcept {
@@ -168,14 +169,11 @@ class Multicore {
   sim::Kernel kernel_;
 
   std::unique_ptr<bus::Arbiter> arbiter_;
-  std::unique_ptr<core::CreditFilter> filter_;
-  std::unique_ptr<ctrl::CreditController> controller_;
   std::unique_ptr<mem::PartitionedL2> l2_;
-  std::unique_ptr<bus::NonSplitBus> bus_;
-  std::unique_ptr<bus::SplitBus> split_bus_;
-  std::unique_ptr<bus::SegmentedInterconnect> seg_bus_;
-  /// Per-segment CBA filters (segmented topology; empty otherwise).
-  std::vector<std::unique_ptr<core::CreditFilter>> seg_filters_;
+  std::unique_ptr<bus::Interconnect> bus_;
+  /// One CBA filter per segment (empty without CBA).
+  std::vector<std::unique_ptr<core::CreditFilter>> filters_;
+  std::unique_ptr<ctrl::CreditController> controller_;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores_;
   std::vector<std::unique_ptr<core::VirtualContender>> virtual_contenders_;
   /// Non-null when this machine is a lane of a batch credit engine.

@@ -15,20 +15,19 @@ namespace cbus::platform {
 
 namespace {
 
-/// Validate the spec's protocol contracts and return the effective
-/// platform config (kIsolation forces operation mode). Shared by the
-/// shared-stream and batched paths so both enforce identical rules.
+/// Validate the spec's contracts and return the effective platform
+/// config (kIsolation forces operation mode).
 [[nodiscard]] PlatformConfig resolve_campaign_config(
     const CampaignSpec& spec) {
   CBUS_EXPECTS(spec.runs >= 1);
-  const bool corun = spec.protocol == CampaignSpec::Protocol::kCorun;
-  CBUS_EXPECTS_MSG(corun || spec.corunners.empty(),
+  CBUS_EXPECTS_MSG(spec.tua_factory != nullptr,
+                   "a campaign needs CampaignSpec.tua_factory");
+  CBUS_EXPECTS_MSG(spec.protocol == CampaignSpec::Protocol::kCorun ||
+                       spec.corunner_factories.empty(),
                    spec.protocol == CampaignSpec::Protocol::kIsolation
                        ? "isolation runs the TuA alone"
                        : "maximum contention uses Table-I virtual "
                          "contenders, not real co-runners");
-  CBUS_EXPECTS_MSG(corun || spec.corunner_factories.empty(),
-                   "co-runner factories apply to the corun protocol only");
 
   PlatformConfig config = spec.config;
   switch (spec.protocol) {
@@ -90,15 +89,13 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
                                 std::uint32_t first_run,
                                 std::span<RunOutcome> outcomes) {
   const PlatformConfig config = resolve_campaign_config(spec);
-  CBUS_EXPECTS_MSG(spec.tua_factory != nullptr,
-                   "run_campaign_slice needs the stream-factory form");
   CBUS_EXPECTS(first_run + outcomes.size() <= spec.runs);
   KernelCycles cycles;
   if (outcomes.empty()) return cycles;
   const std::size_t lanes = outcomes.size();
 
-  // Per-run seeds: the run_seed(base_seed, i) sequence, i.e. exactly the
-  // draws the serial loop takes -- skip to this slice's window.
+  // Per-run seeds: the run_seed(base_seed, i) sequence -- skip to this
+  // slice's window.
   rng::SplitMix64 mix(spec.base_seed);
   for (std::uint32_t i = 0; i < first_run; ++i) (void)mix.next();
 
@@ -121,8 +118,8 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
   std::vector<Lane> replicas(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     Lane& r = replicas[lane];
-    // Same per-run derivation as the shared-stream path: machine seed,
-    // then one stream seed for the TuA and one per co-runner.
+    // Per-run derivation: machine seed, then one stream seed for the TuA
+    // and one per co-runner.
     const std::uint64_t seed = mix.next();
     rng::SplitMix64 stream_seeds(seed);
     r.tua = spec.tua_factory();
@@ -188,50 +185,13 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec) {
-  CBUS_EXPECTS_MSG(
-      (spec.tua != nullptr) != (spec.tua_factory != nullptr),
-      "set exactly one of CampaignSpec.tua and CampaignSpec.tua_factory");
-
-  if (spec.tua_factory == nullptr) {
-    // Shared-stream form: strictly one run at a time (the streams are
-    // shared state), the original replay loop.
-    CBUS_EXPECTS_MSG(spec.batch <= 1 && spec.threads <= 1,
-                     "batched/threaded campaigns need the stream-factory "
-                     "form (CampaignSpec.tua_factory)");
-    const PlatformConfig config = resolve_campaign_config(spec);
-    CampaignResult result;
-    result.aggregate = metrics::Aggregator(
-        metrics::Aggregator::Options{.retain_raw = spec.retain_raw});
-    rng::SplitMix64 mix(spec.base_seed);
-    for (std::uint32_t run = 0; run < spec.runs; ++run) {
-      const std::uint64_t seed = mix.next();
-      rng::SplitMix64 stream_seeds(seed);
-      spec.tua->reset(stream_seeds.next());
-      for (cpu::OpStream* s : spec.corunners) s->reset(stream_seeds.next());
-
-      Multicore machine(config, seed, *spec.tua, spec.corunners);
-      if (spec.instrument) spec.instrument(run, machine);
-      const RunResult r = machine.run(spec.max_cycles);
-
-      if (!r.tua_finished) {
-        ++result.unfinished_runs;
-        continue;
-      }
-      result.aggregate.add(r.record);
-    }
-    return result;
-  }
-
-  // Factory form: partition the runs into contiguous lockstep slices and
-  // execute them (optionally across threads). In the default streaming
-  // mode every slice folds its outcomes into a local digest immediately
-  // and merges it into the total -- exact mergeability makes the merge
-  // order irrelevant and peak live Records stay O(batch * threads). With
+  // Partition the runs into contiguous lockstep slices and execute them
+  // (optionally across threads). In the default streaming mode every
+  // slice folds its outcomes into a local digest immediately and merges
+  // it into the total -- exact mergeability makes the merge order
+  // irrelevant and peak live Records stay O(batch * threads). With
   // retain_raw the per-run series must keep run order, so all outcomes
-  // are materialized and folded serially, as before.
-  CBUS_EXPECTS_MSG(spec.corunners.empty(),
-                   "give corunner_factories (not shared corunners) with "
-                   "tua_factory");
+  // are materialized and folded serially.
   (void)resolve_campaign_config(spec);  // validate before spawning workers
   const std::uint32_t batch = std::max<std::uint32_t>(1, spec.batch);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> slices;

@@ -9,9 +9,9 @@
 // One entry point covers the paper's three protocols:
 //
 //   CampaignSpec spec;
-//   spec.protocol = CampaignSpec::Protocol::kMaxContention;
-//   spec.config   = PlatformConfig::paper_wcet(BusSetup::kCba);
-//   spec.tua      = &stream;
+//   spec.protocol    = CampaignSpec::Protocol::kMaxContention;
+//   spec.config      = PlatformConfig::paper_wcet(BusSetup::kCba);
+//   spec.tua_factory = [] { return workloads::make_eembc("matrix"); };
 //   CampaignResult r = run_campaign(spec);
 //   r.exec_time().mean();                       // TuA timing digest
 //   r.aggregate.element_stats("fair.jain_occupancy").mean();
@@ -34,18 +34,15 @@ namespace cbus::platform {
 /// A fully-described measurement campaign: protocol, platform, workloads
 /// and repetition plan.
 ///
-/// Workloads come in one of two forms:
-///  * shared streams (`tua`/`corunners`, non-owning): the campaign resets
-///    them with per-run seeds and replays runs strictly one at a time;
-///  * stream factories (`tua_factory`/`corunner_factories`): every run
-///    gets its own stream instances, which unlocks the batched lockstep
-///    path (`batch` replicas advance together under one
-///    sim::BatchKernel) and threading across batches (`threads`).
-/// A factory must build streams equivalent to the shared one -- same
-/// constructor arguments -- and OpStream::reset must fully restart a
-/// stream; under those contracts both forms and every (batch, threads)
-/// combination produce bit-identical per-run records from the same
-/// base_seed.
+/// Workloads are stream factories (`tua_factory`, plus
+/// `corunner_factories` for kCorun): every run gets its own stream
+/// instances, reset with seeds derived from run_seed(base_seed, run), so
+/// runs are independent and `batch` replicas can advance together under
+/// one sim::BatchKernel, with threading across batches (`threads`).
+/// Every call of a factory must build an equivalent stream; then every
+/// (batch, threads) combination produces bit-identical per-run records
+/// from the same base_seed -- the records a serial loop of
+/// Multicore::run() over fresh streams yields.
 struct CampaignSpec {
   /// The paper's measurement protocols.
   enum class Protocol : std::uint8_t {
@@ -54,26 +51,22 @@ struct CampaignSpec {
     kCorun,          ///< real co-running workloads on masters 1..k
   };
 
-  /// Builds one fresh workload stream per call (batched path).
+  /// Builds one fresh workload stream per call.
   using StreamFactory = std::function<std::unique_ptr<cpu::OpStream>()>;
 
   Protocol protocol = Protocol::kMaxContention;
   PlatformConfig config;
 
-  cpu::OpStream* tua = nullptr;            ///< shared-stream form
-  std::vector<cpu::OpStream*> corunners;   ///< kCorun only
-
-  StreamFactory tua_factory;               ///< factory form (batched path)
+  StreamFactory tua_factory;                      ///< required
   std::vector<StreamFactory> corunner_factories;  ///< kCorun only
 
   std::uint64_t base_seed = 0xC0FFEE;
   std::uint32_t runs = 100;
   Cycle max_cycles = 50'000'000;
 
-  /// Replicas advanced in lockstep per batch (factory form only; 1 =
-  /// one machine at a time, still via fresh per-run streams).
+  /// Replicas advanced in lockstep per batch (1 = one machine at a time).
   std::uint32_t batch = 1;
-  /// Worker threads across batches (factory form only; 0 = hardware).
+  /// Worker threads across batches (0 = hardware).
   std::uint32_t threads = 1;
 
   /// Keep every run's raw sample series on the aggregate (O(runs)
@@ -96,8 +89,7 @@ struct CampaignSpec {
 };
 
 /// One run's outcome in slice order; `record` is meaningful only for
-/// finished runs (unfinished ones are dropped from the aggregate, as in
-/// the serial path).
+/// finished runs (unfinished ones are dropped from the aggregate).
 struct RunOutcome {
   bool finished = false;
   metrics::Record record;
@@ -130,10 +122,10 @@ struct CampaignResult {
   }
 };
 
-/// Run the campaign `spec` describes. Preconditions: exactly one of
-/// spec.tua / spec.tua_factory is set (batch > 1 needs the factory form),
-/// runs >= 1, corunners only with kCorun, WCET mode with kMaxContention
-/// (kIsolation forces operation mode itself).
+/// Run the campaign `spec` describes. Preconditions (std::invalid_argument
+/// otherwise): spec.tua_factory is set, runs >= 1, corunner_factories
+/// only with kCorun, WCET mode with kMaxContention (kIsolation forces
+/// operation mode itself).
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec);
 
 /// Lane-cycles a slice's kernel ticked vs simulated (ticked + skipped as
@@ -149,7 +141,7 @@ struct KernelCycles {
 
 /// Run the contiguous slice of runs [first_run, first_run +
 /// outcomes.size()) as ONE lockstep batch, writing each run's outcome in
-/// order. Factory form only. This is run_campaign's unit of work,
+/// order. This is run_campaign's unit of work,
 /// exposed so exp::run_experiment can schedule slices from many sweep
 /// jobs onto one thread pool; folding outcomes in run order yields the
 /// serial aggregate bit-identically.

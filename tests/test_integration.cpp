@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "bus/bus.hpp"
 #include "bus/round_robin.hpp"
@@ -26,18 +27,21 @@ using platform::PlatformConfig;
 using platform::SyntheticMaster;
 using platform::SyntheticMasterConfig;
 
-/// Shorthand: run one campaign over the paper platform.
+/// Shorthand: run one campaign of `kernel` over the paper platform, with
+/// `streaming_corunners` back-to-back streaming co-runners (kCorun).
 [[nodiscard]] platform::CampaignResult campaign(
     CampaignSpec::Protocol protocol, PlatformConfig config,
-    cpu::OpStream& tua, std::uint32_t runs, std::uint64_t seed,
-    std::vector<cpu::OpStream*> corunners = {}) {
+    const std::string& kernel, std::uint32_t runs, std::uint64_t seed,
+    std::uint32_t streaming_corunners = 0) {
   CampaignSpec spec;
   spec.protocol = protocol;
   spec.config = std::move(config);
-  spec.tua = &tua;
+  spec.tua_factory = [kernel]() { return workloads::make_eembc(kernel); };
+  spec.corunner_factories.assign(streaming_corunners, []() {
+    return std::make_unique<workloads::StreamingStream>(0);
+  });
   spec.runs = runs;
   spec.base_seed = seed;
-  spec.corunners = std::move(corunners);
   spec.retain_raw = true;  // integration tests read the per-run series
   return run_campaign(spec);
 }
@@ -239,17 +243,15 @@ TEST(IllustrativeExample, HcbaShiftsBandwidthToTua) {
 // --- Figure-1-style orderings on the full platform --------------------------------
 
 TEST(Figure1Orderings, CbaCutsContentionSlowdownForMatrix) {
-  auto tua = workloads::make_eembc("matrix");
-
   const auto iso = campaign(CampaignSpec::Protocol::kIsolation,
-                            PlatformConfig::paper(BusSetup::kRp), *tua, 3,
+                            PlatformConfig::paper(BusSetup::kRp), "matrix", 3,
                             2017);
   const auto rp_con = campaign(CampaignSpec::Protocol::kMaxContention,
                                PlatformConfig::paper_wcet(BusSetup::kRp),
-                               *tua, 3, 2017);
+                               "matrix", 3, 2017);
   const auto cba_con = campaign(CampaignSpec::Protocol::kMaxContention,
                                 PlatformConfig::paper_wcet(BusSetup::kCba),
-                                *tua, 3, 2017);
+                                "matrix", 3, 2017);
 
   const double s_rp = platform::slowdown(rp_con, iso);
   const double s_cba = platform::slowdown(cba_con, iso);
@@ -261,23 +263,21 @@ TEST(Figure1Orderings, CbaCutsContentionSlowdownForMatrix) {
 }
 
 TEST(Figure1Orderings, HcbaNoWorseThanCbaForTua) {
-  auto tua = workloads::make_eembc("matrix");
   const auto cba_con = campaign(CampaignSpec::Protocol::kMaxContention,
                                 PlatformConfig::paper_wcet(BusSetup::kCba),
-                                *tua, 3, 2018);
+                                "matrix", 3, 2018);
   const auto hcba_con = campaign(
       CampaignSpec::Protocol::kMaxContention,
-      PlatformConfig::paper_wcet(BusSetup::kHcba), *tua, 3, 2018);
+      PlatformConfig::paper_wcet(BusSetup::kHcba), "matrix", 3, 2018);
   EXPECT_LE(hcba_con.exec_time().mean(), cba_con.exec_time().mean() * 1.05);
 }
 
 TEST(Figure1Orderings, CbaIsolationOverheadIsSmall) {
-  auto tua = workloads::make_eembc("tblook");
   const auto rp_iso = campaign(CampaignSpec::Protocol::kIsolation,
-                               PlatformConfig::paper(BusSetup::kRp), *tua,
+                               PlatformConfig::paper(BusSetup::kRp), "tblook",
                                3, 2019);
   const auto cba_iso = campaign(CampaignSpec::Protocol::kIsolation,
-                                PlatformConfig::paper(BusSetup::kCba), *tua,
+                                PlatformConfig::paper(BusSetup::kCba), "tblook",
                                 3, 2019);
   const double overhead = platform::slowdown(cba_iso, rp_iso);
   EXPECT_LT(overhead, 1.25) << "CBA in isolation should cost little";
@@ -285,9 +285,8 @@ TEST(Figure1Orderings, CbaIsolationOverheadIsSmall) {
 }
 
 TEST(Figure1Orderings, NoCreditUnderflowOnPaperPlatform) {
-  auto tua = workloads::make_eembc("cacheb");
   const auto r = campaign(CampaignSpec::Protocol::kMaxContention,
-                          PlatformConfig::paper_wcet(BusSetup::kCba), *tua,
+                          PlatformConfig::paper_wcet(BusSetup::kCba), "cacheb",
                           2, 0xC0FFEE);
   EXPECT_EQ(r.credit_underflows(), 0u)
       << "MaxL = 56 must cover every transaction";
@@ -297,10 +296,9 @@ TEST(Figure1Orderings, CbaEqualisesOccupancyUnderMaxContention) {
   // The record pipeline surfaces the paper's core claim directly: with
   // CBA engaged, per-master occupancy cycles are near-equal (Jain -> 1)
   // even though the TuA's requests are short and the contenders' long.
-  auto tua = workloads::make_eembc("cacheb");
   const auto cba = campaign(CampaignSpec::Protocol::kMaxContention,
                             PlatformConfig::paper_wcet(BusSetup::kCba),
-                            *tua, 3, 2020);
+                            "cacheb", 3, 2020);
   EXPECT_GT(cba.aggregate.element_stats("fair.jain_occupancy").mean(),
             0.85);
 }
@@ -310,25 +308,21 @@ TEST(Figure1Orderings, CbaEqualisesOccupancyUnderMaxContention) {
 TEST(WcetMode, BoundsOperationModeContention) {
   // The WCET-estimation protocol must produce contention at least as bad
   // as real streaming co-runners (that is its purpose, §III-B).
-  auto tua = workloads::make_eembc("cacheb");
-
-  workloads::StreamingStream s1(0), s2(0), s3(0);
   const auto op_con = campaign(CampaignSpec::Protocol::kCorun,
-                               PlatformConfig::paper(BusSetup::kCba), *tua,
-                               3, 4, {&s1, &s2, &s3});
+                               PlatformConfig::paper(BusSetup::kCba), "cacheb",
+                               3, 4, 3);
   const auto wcet_con = campaign(CampaignSpec::Protocol::kMaxContention,
                                  PlatformConfig::paper_wcet(BusSetup::kCba),
-                                 *tua, 3, 4);
+                                 "cacheb", 3, 4);
   EXPECT_GE(wcet_con.exec_time().mean(), 0.95 * op_con.exec_time().mean());
 }
 
 // --- MBPTA end-to-end ----------------------------------------------------------------
 
 TEST(MbptaPipeline, PwcetBoundsObservedOperation) {
-  auto tua = workloads::make_eembc("canrdr");
   const auto wcet_runs = campaign(
       CampaignSpec::Protocol::kMaxContention,
-      PlatformConfig::paper_wcet(BusSetup::kCba), *tua, 60, 5);
+      PlatformConfig::paper_wcet(BusSetup::kCba), "canrdr", 60, 5);
 
   mbpta::MbptaConfig mcfg;
   mcfg.block_size = 5;
@@ -339,10 +333,9 @@ TEST(MbptaPipeline, PwcetBoundsObservedOperation) {
   EXPECT_GT(analysis.curve[2].wcet_estimate, analysis.observed_max * 0.999);
 
   // ... and above anything seen in operation mode with real contenders.
-  workloads::StreamingStream s1(0), s2(0), s3(0);
   const auto op = campaign(CampaignSpec::Protocol::kCorun,
-                           PlatformConfig::paper(BusSetup::kCba), *tua, 10,
-                           6, {&s1, &s2, &s3});
+                           PlatformConfig::paper(BusSetup::kCba), "canrdr", 10,
+                           6, 3);
   EXPECT_GT(analysis.curve[2].wcet_estimate, op.exec_time().max());
 }
 

@@ -9,7 +9,6 @@
 #include "mbpta/convergence.hpp"
 #include "mbpta/diagnostics.hpp"
 #include "mbpta/gumbel.hpp"
-#include "mbpta/pot.hpp"
 #include "mbpta/pwcet.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xorshift.hpp"
@@ -213,56 +212,6 @@ TEST(Analyze, BlockSizeReducesMaxima) {
   cfg.block_size = 20;
   const MbptaResult r = analyze(xs, cfg);
   EXPECT_EQ(r.maxima_used, 50u);
-}
-
-// --- POT (peaks over threshold) estimator ----------------------------------------------
-
-TEST(Pot, RecoversExponentialTail) {
-  const auto xs = exponential_sample(0.05, 20'000, 61);  // mean 20
-  const PotFit fit = fit_pot(xs, 0.9);
-  // Memorylessness: excesses over any threshold are Exp(0.05) again.
-  EXPECT_NEAR(fit.mean_excess, 20.0, 1.0);
-  EXPECT_NEAR(fit.exceedance_rate, 0.1, 0.01);
-}
-
-TEST(Pot, QuantileInvertsEmpirically) {
-  const auto xs = exponential_sample(0.1, 50'000, 67);
-  const PotFit fit = fit_pot(xs, 0.8);
-  // pWCET at p = 0.01 should match the empirical 99th percentile.
-  const double predicted = fit.quantile_exceedance(0.01);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double empirical = sorted[static_cast<std::size_t>(0.99 * 50'000)];
-  EXPECT_NEAR(predicted / empirical, 1.0, 0.05);
-}
-
-TEST(Pot, MonotoneInExceedanceProbability) {
-  const auto xs = exponential_sample(0.1, 5'000, 71);
-  const PotFit fit = fit_pot(xs, 0.9);
-  EXPECT_LT(fit.quantile_exceedance(1e-3), fit.quantile_exceedance(1e-6));
-  EXPECT_LT(fit.quantile_exceedance(1e-6), fit.quantile_exceedance(1e-12));
-}
-
-TEST(Pot, AgreesWithGumbelOnGumbelData) {
-  // Deep-tail estimates from the two standard MBPTA estimators should
-  // land in the same ballpark on well-behaved data.
-  const auto xs = gumbel_sample(10'000.0, 150.0, 20'000, 73);
-  const PotFit pot = fit_pot(xs, 0.95);
-  const GumbelFit gumbel = fit_pwm(xs);
-  const double p = 1e-9;
-  const double ratio =
-      pot.quantile_exceedance(p) / gumbel.quantile_exceedance(p);
-  EXPECT_NEAR(ratio, 1.0, 0.15);
-}
-
-TEST(Pot, RejectsBadInputs) {
-  const auto xs = exponential_sample(0.1, 100, 79);
-  EXPECT_THROW((void)fit_pot(xs, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)fit_pot(xs, 1.0), std::invalid_argument);
-  const std::vector<double> tiny(10, 1.0);
-  EXPECT_THROW((void)fit_pot(tiny, 0.9), std::invalid_argument);
-  const PotFit fit = fit_pot(xs, 0.9);
-  EXPECT_THROW((void)fit.quantile_exceedance(0.5), std::invalid_argument);
 }
 
 // --- tail convergence -----------------------------------------------------------

@@ -358,16 +358,18 @@ TEST(Probes, FairnessProbeMatchesFairnessFunctions) {
 }
 
 TEST(Probes, CreditProbeWithAndWithoutFilter) {
+  // No CBA: no budgets, and the underflow count reads 0.
   Record none;
-  probe_credit(nullptr, none);
+  probe_credit(0, {}, none);
   EXPECT_DOUBLE_EQ(none.at("credit.underflows").scalar(), 0.0);
   EXPECT_FALSE(none.has("credit.budget"));
 
-  core::CreditFilter filter(core::CbaConfig::homogeneous(4, 56));
+  const std::vector<double> budgets{56.0, 0.0, 14.5, 56.0};
   Record with;
-  probe_credit(&filter, with);
-  EXPECT_DOUBLE_EQ(with.at("credit.underflows").scalar(), 0.0);
-  EXPECT_EQ(with.at("credit.budget").size(), 4u);
+  probe_credit(3, budgets, with);
+  EXPECT_DOUBLE_EQ(with.at("credit.underflows").scalar(), 3.0);
+  ASSERT_EQ(with.at("credit.budget").size(), 4u);
+  EXPECT_DOUBLE_EQ(with.at("credit.budget")[2], 14.5);
 }
 
 TEST(Probes, CtrlProbeSkipsNullAndStatic) {
@@ -397,7 +399,8 @@ TEST(Probes, CatalogCoversProbeKeysWithPerMasterFlags) {
   probe_tua(1234, cpu::CoreStats{}, r);
   probe_bus(stats, r);
   probe_fairness(stats, r);
-  probe_credit(&filter, r);
+  const std::vector<double> budgets(2, 56.0);
+  probe_credit(0, budgets, r);
   probe_segments(nullptr, stats, r);
   probe_ctrl(controller.get(), r);
   // Every emitted key is in the catalog with the right shape...

@@ -16,6 +16,7 @@
 #include "platform/platform_config.hpp"
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
+#include "rng/splitmix64.hpp"
 #include "workloads/eembc_like.hpp"
 #include "workloads/fixed_stream.hpp"
 #include "workloads/streaming.hpp"
@@ -112,9 +113,10 @@ TEST(Multicore, WcetModeSpawnsVirtualContenders) {
   Multicore machine(PlatformConfig::paper_wcet(BusSetup::kCba), 3, *tua);
   // 1 TuA core + 3 contenders + bus = 5 components.
   EXPECT_EQ(machine.kernel().component_count(), 5u);
-  ASSERT_NE(machine.credit_filter(), nullptr);
+  const CreditSlot tua_credit = machine.credit_of(0);
+  ASSERT_NE(tua_credit.state, nullptr);
   // TuA budget zeroed per §III-B.
-  EXPECT_EQ(machine.credit_filter()->state().budget(0), 0u);
+  EXPECT_EQ(tua_credit.state->budget(tua_credit.slot), 0u);
 }
 
 TEST(Multicore, OperationModeHasNoContenders) {
@@ -123,7 +125,7 @@ TEST(Multicore, OperationModeHasNoContenders) {
   Multicore machine(PlatformConfig::paper(BusSetup::kCba), 3, *tua);
   EXPECT_EQ(machine.kernel().component_count(), 2u);  // core + bus
   // Operation mode keeps the TuA's budget full at start.
-  EXPECT_EQ(machine.credit_filter()->state().budget(0), 224u);
+  EXPECT_EQ(machine.credit_of(0).state->budget(0), 224u);
 }
 
 TEST(Multicore, RealCorunnersRun) {
@@ -161,6 +163,75 @@ TEST(Multicore, RunHonoursCycleBudget) {
   EXPECT_EQ(r.tua_cycles, 100u);
 }
 
+// --- one interconnect behind every topology ----------------------------------------
+
+struct InterconnectCase {
+  const char* name;
+  const char* config;  ///< platform config-file text
+  bool observed;       ///< the interconnect has observer hooks
+};
+
+// gtest prints the parameter into the test's listed name: print the case
+// name, not the object's bytes (which hold addresses).
+void PrintTo(const InterconnectCase& c, std::ostream* out) { *out << c.name; }
+
+/// A passive observer counting transfer starts.
+class TransferCounter final : public bus::BusObserver {
+ public:
+  void on_transfer_start(const bus::BusRequest& /*request*/, Cycle /*start*/,
+                         Cycle /*hold*/) override {
+    ++starts;
+  }
+  std::uint64_t starts = 0;
+};
+
+class MulticoreInterconnect
+    : public ::testing::TestWithParam<InterconnectCase> {};
+
+TEST_P(MulticoreInterconnect, ObserverAndCreditLookupMatchTheRecord) {
+  std::istringstream in(GetParam().config);
+  const PlatformConfig cfg = parse_config(in);
+  auto tua = workloads::make_eembc("canrdr");
+  auto corunner = workloads::make_eembc("tblook");
+  tua->reset(5);
+  corunner->reset(6);
+  Multicore machine(cfg, 5, *tua, {corunner.get()});
+  TransferCounter counter;
+  machine.set_bus_observer(&counter);
+  // Every core finishes, so no grant is left latched but unstarted.
+  const RunResult r = machine.run_all();
+  ASSERT_TRUE(r.tua_finished);
+
+  const std::uint64_t grants = r.bus_stats.totals().grants;
+  EXPECT_GT(grants, 0u);
+  EXPECT_EQ(counter.starts, GetParam().observed ? grants : 0u);
+
+  const metrics::Value& budgets = r.record.at("credit.budget");
+  ASSERT_EQ(budgets.size(), cfg.n_cores);
+  for (MasterId m = 0; m < cfg.n_cores; ++m) {
+    const CreditSlot credit = machine.credit_of(m);
+    ASSERT_NE(credit.state, nullptr) << m;
+    EXPECT_EQ(credit.state,
+              &machine.segment_filter(machine.bus_port().home_segment(m))
+                   ->state())
+        << m;
+    EXPECT_EQ(credit.state->budget_cycles(credit.slot), budgets[m]) << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Interconnects, MulticoreInterconnect,
+    ::testing::Values(
+        InterconnectCase{"nonsplit", "setup = cba\n", true},
+        InterconnectCase{"split", "setup = cba\nbus = split\n", false},
+        InterconnectCase{"segmented4", "setup = cba\ntopology = segmented:4\n",
+                         true},
+        InterconnectCase{"mesh2x2", "setup = cba\ntopology = mesh:2x2\n",
+                         true}),
+    [](const ::testing::TestParamInfo<InterconnectCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- SyntheticMaster ---------------------------------------------------------------
 
 TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {
@@ -178,15 +249,18 @@ TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {
   EXPECT_EQ(smc.gap, 4u);
 }
 
-/// A CampaignSpec over the given platform (helper for the tests below).
+/// A CampaignSpec running `kernel` on the given platform (helper for the
+/// tests below).
 [[nodiscard]] CampaignSpec make_spec(CampaignSpec::Protocol protocol,
                                      PlatformConfig config,
-                                     cpu::OpStream& tua, std::uint32_t runs,
+                                     std::string kernel, std::uint32_t runs,
                                      std::uint64_t seed) {
   CampaignSpec spec;
   spec.protocol = protocol;
   spec.config = std::move(config);
-  spec.tua = &tua;
+  spec.tua_factory = [kernel = std::move(kernel)]() {
+    return workloads::make_eembc(kernel);
+  };
   spec.runs = runs;
   spec.base_seed = seed;
   spec.retain_raw = true;  // these tests read the per-run series
@@ -194,10 +268,9 @@ TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {
 }
 
 TEST(ScenarioRunners, IsolationCampaignAggregates) {
-  auto tua = workloads::make_eembc("canrdr");
   const CampaignResult r = run_campaign(
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 5, 11));
+                PlatformConfig::paper(BusSetup::kRp), "canrdr", 5, 11));
   EXPECT_EQ(r.exec_time().count(), 5u);
   EXPECT_EQ(r.samples().size(), 5u);
   EXPECT_EQ(r.unfinished_runs, 0u);
@@ -208,10 +281,9 @@ TEST(ScenarioRunners, IsolationCampaignAggregates) {
 TEST(ScenarioRunners, CampaignFoldsRunRecords) {
   // Every standard probe key reaches the aggregate, per-master keys at
   // the platform width, and derived views agree with the records.
-  auto tua = workloads::make_eembc("canrdr");
   const CampaignResult r = run_campaign(
       make_spec(CampaignSpec::Protocol::kMaxContention,
-                PlatformConfig::paper_wcet(BusSetup::kCba), *tua, 3, 11));
+                PlatformConfig::paper_wcet(BusSetup::kCba), "canrdr", 3, 11));
   EXPECT_EQ(r.aggregate.width("bus.occupancy_share"), 4u);
   EXPECT_EQ(r.aggregate.width("bus.grant_share"), 4u);
   EXPECT_EQ(r.aggregate.width("credit.budget"), 4u);
@@ -230,10 +302,9 @@ TEST(ScenarioRunners, CampaignFoldsRunRecords) {
 }
 
 TEST(ScenarioRunners, CampaignIsReproducible) {
-  auto tua = workloads::make_eembc("tblook");
   const auto spec =
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kCba), *tua, 3, 42);
+                PlatformConfig::paper(BusSetup::kCba), "tblook", 3, 42);
   const auto a = run_campaign(spec);
   const auto b = run_campaign(spec);
   ASSERT_EQ(a.samples().size(), b.samples().size());
@@ -243,25 +314,36 @@ TEST(ScenarioRunners, CampaignIsReproducible) {
 }
 
 TEST(ScenarioRunners, MaxContentionRequiresWcetMode) {
-  auto tua = workloads::make_eembc("canrdr");
   EXPECT_THROW(
       (void)run_campaign(make_spec(CampaignSpec::Protocol::kMaxContention,
                                    PlatformConfig::paper(BusSetup::kCba),
-                                   *tua, 1, 1)),
+                                   "canrdr", 1, 1)),
       std::invalid_argument);
 }
 
+/// A co-runner factory for the tests below.
+[[nodiscard]] CampaignSpec::StreamFactory streaming(std::uint32_t gap) {
+  return [gap]() { return std::make_unique<workloads::StreamingStream>(gap); };
+}
+
 TEST(ScenarioRunners, SpecRequiresTuaAndRejectsStrayCorunners) {
-  auto tua = workloads::make_eembc("canrdr");
   CampaignSpec no_tua;
   no_tua.config = PlatformConfig::paper(BusSetup::kRp);
   EXPECT_THROW((void)run_campaign(no_tua), std::invalid_argument);
+  std::vector<RunOutcome> window(1);
+  EXPECT_THROW((void)run_campaign_slice(no_tua, 0, window),
+               std::invalid_argument);
 
-  workloads::StreamingStream s(0);
+  // Real co-runners belong to the corun protocol only.
   auto iso = make_spec(CampaignSpec::Protocol::kIsolation,
-                       PlatformConfig::paper(BusSetup::kRp), *tua, 1, 1);
-  iso.corunners = {&s};
+                       PlatformConfig::paper(BusSetup::kRp), "canrdr", 1, 1);
+  iso.corunner_factories = {streaming(0)};
   EXPECT_THROW((void)run_campaign(iso), std::invalid_argument);
+  auto con = make_spec(CampaignSpec::Protocol::kMaxContention,
+                       PlatformConfig::paper_wcet(BusSetup::kRp), "canrdr",
+                       1, 1);
+  con.corunner_factories = {streaming(0)};
+  EXPECT_THROW((void)run_campaign(con), std::invalid_argument);
 }
 
 /// Bitwise equality over every key/element/run of two campaign
@@ -269,98 +351,113 @@ TEST(ScenarioRunners, SpecRequiresTuaAndRejectsStrayCorunners) {
 /// fair.maxmin_* infinite by contract and NaN/inf break naive equality,
 /// while bit patterns compare exactly.
 void expect_same_aggregate(const metrics::Aggregator& a,
-                           const metrics::Aggregator& b) {
-  ASSERT_EQ(a.keys(), b.keys());
+                           const metrics::Aggregator& b,
+                           const std::string& where) {
+  ASSERT_EQ(a.keys(), b.keys()) << where;
   for (const std::string& key : a.keys()) {
-    ASSERT_EQ(a.width(key), b.width(key)) << key;
+    ASSERT_EQ(a.width(key), b.width(key)) << where << ' ' << key;
     for (std::size_t e = 0; e < a.width(key); ++e) {
       const auto& sa = a.element_samples(key, e);
       const auto& sb = b.element_samples(key, e);
-      ASSERT_EQ(sa.size(), sb.size()) << key;
+      ASSERT_EQ(sa.size(), sb.size()) << where << ' ' << key;
       for (std::size_t i = 0; i < sa.size(); ++i) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(sa[i]),
                   std::bit_cast<std::uint64_t>(sb[i]))
-            << key << '[' << e << "] run " << i;
+            << where << ' ' << key << '[' << e << "] run " << i;
       }
     }
   }
 }
 
-/// A factory-form spec mirroring make_spec, for the batched path.
-[[nodiscard]] CampaignSpec make_factory_spec(CampaignSpec::Protocol protocol,
-                                             PlatformConfig config,
-                                             std::string kernel,
-                                             std::uint32_t runs,
-                                             std::uint64_t seed) {
-  CampaignSpec spec;
-  spec.protocol = protocol;
-  spec.config = std::move(config);
-  spec.tua_factory = [kernel = std::move(kernel)]() {
-    return workloads::make_eembc(kernel);
-  };
-  spec.runs = runs;
-  spec.base_seed = seed;
-  spec.retain_raw = true;  // these tests read the per-run series
-  return spec;
+/// The serial oracle the batched path is held to: per run, fresh streams
+/// from the spec's factories reset from run_seed (machine seed, then one
+/// stream seed for the TuA and one per co-runner), one Multicore::run(),
+/// finished runs folded in run order.
+[[nodiscard]] metrics::Aggregator serial_oracle(const CampaignSpec& spec) {
+  PlatformConfig config = spec.config;
+  if (spec.protocol == CampaignSpec::Protocol::kIsolation) {
+    config.mode = PlatformMode::kOperation;
+  }
+  metrics::Aggregator oracle(
+      metrics::Aggregator::Options{.retain_raw = true});
+  for (std::uint32_t run = 0; run < spec.runs; ++run) {
+    const std::uint64_t seed = run_seed(spec.base_seed, run);
+    rng::SplitMix64 stream_seeds(seed);
+    const std::unique_ptr<cpu::OpStream> tua = spec.tua_factory();
+    tua->reset(stream_seeds.next());
+    std::vector<std::unique_ptr<cpu::OpStream>> corunners;
+    std::vector<cpu::OpStream*> corunner_ptrs;
+    for (const CampaignSpec::StreamFactory& make : spec.corunner_factories) {
+      corunners.push_back(make());
+      corunners.back()->reset(stream_seeds.next());
+      corunner_ptrs.push_back(corunners.back().get());
+    }
+    Multicore machine(config, seed, *tua, corunner_ptrs);
+    const RunResult r = machine.run(spec.max_cycles);
+    if (r.tua_finished) oracle.add(r.record);
+  }
+  return oracle;
 }
 
-TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
-  // The batched (stream-factory) path must reproduce the shared-stream
-  // replay loop bit-identically, for every batch and thread count.
-  auto tua = workloads::make_eembc("cacheb");
-  const auto shared = run_campaign(
-      make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kCba), *tua, 5, 99));
+/// run_campaign over `spec` must reproduce the serial oracle bit for bit
+/// at every batch size and thread count.
+void expect_batched_matches_oracle(CampaignSpec spec) {
+  const metrics::Aggregator oracle = serial_oracle(spec);
+  ASSERT_EQ(oracle.runs(), spec.runs);
   for (const std::uint32_t batch : {1u, 3u, 8u}) {
     for (const std::uint32_t threads : {1u, 4u}) {
-      auto spec = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                    PlatformConfig::paper(BusSetup::kCba),
-                                    "cacheb", 5, 99);
       spec.batch = batch;
       spec.threads = threads;
       const auto batched = run_campaign(spec);
-      ASSERT_EQ(batched.samples().size(), shared.samples().size());
-      for (std::size_t i = 0; i < shared.samples().size(); ++i) {
-        EXPECT_EQ(batched.samples()[i], shared.samples()[i])
-            << "batch=" << batch << " threads=" << threads << " run " << i;
-      }
-      expect_same_aggregate(batched.aggregate, shared.aggregate);
+      EXPECT_EQ(batched.unfinished_runs, 0u);
+      expect_same_aggregate(batched.aggregate, oracle,
+                            "batch=" + std::to_string(batch) +
+                                " threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(ScenarioRunners, BatchedCorunMatchesSharedStreamForm) {
-  // Co-runner factories against shared co-runner streams, WCET-mode CBA
-  // with real contenders exercising the SoA credit arena.
-  auto tua = workloads::make_eembc("cacheb");
-  workloads::StreamingStream s1(0), s2(4);
-  auto corun_spec =
-      make_spec(CampaignSpec::Protocol::kCorun,
-                PlatformConfig::paper(BusSetup::kCba), *tua, 4, 99);
-  corun_spec.corunners = {&s1, &s2};
-  const auto shared = run_campaign(corun_spec);
+TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
+  // Isolation on CBA: the batched lanes share one SoA credit arena, the
+  // oracle's machines own their credit counters.
+  expect_batched_matches_oracle(
+      make_spec(CampaignSpec::Protocol::kIsolation,
+                PlatformConfig::paper(BusSetup::kCba), "cacheb", 5, 99));
+}
 
-  auto batched_spec = make_factory_spec(CampaignSpec::Protocol::kCorun,
-                                        PlatformConfig::paper(BusSetup::kCba),
-                                        "cacheb", 4, 99);
-  batched_spec.corunner_factories = {
-      []() { return std::make_unique<workloads::StreamingStream>(0); },
-      []() { return std::make_unique<workloads::StreamingStream>(4); }};
-  batched_spec.batch = 4;
-  const auto batched = run_campaign(batched_spec);
-  ASSERT_EQ(batched.samples().size(), shared.samples().size());
-  for (std::size_t i = 0; i < shared.samples().size(); ++i) {
-    EXPECT_EQ(batched.samples()[i], shared.samples()[i]) << "run " << i;
-  }
-  expect_same_aggregate(batched.aggregate, shared.aggregate);
+TEST(ScenarioRunners, BatchedCorunMatchesSharedStreamForm) {
+  // Real co-runners from per-run factory streams on the CBA bus.
+  auto spec = make_spec(CampaignSpec::Protocol::kCorun,
+                        PlatformConfig::paper(BusSetup::kCba), "cacheb", 4,
+                        99);
+  spec.corunner_factories = {streaming(0), streaming(4)};
+  expect_batched_matches_oracle(spec);
+}
+
+TEST(ScenarioRunners, InstrumentedCampaignMatchesSerialOracle) {
+  // The instrument hook forces single-lane batches; every run is still
+  // hooked once and the outcome is the oracle's.
+  auto spec = make_spec(CampaignSpec::Protocol::kMaxContention,
+                        PlatformConfig::paper_wcet(BusSetup::kCba), "canrdr",
+                        5, 7);
+  spec.batch = 8;
+  std::vector<std::uint32_t> hooked;
+  spec.instrument = [&hooked](std::uint32_t run, Multicore& machine) {
+    hooked.push_back(run);
+    EXPECT_EQ(machine.real_cores(), 1u);
+  };
+  const auto instrumented = run_campaign(spec);
+  EXPECT_EQ(hooked, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  expect_same_aggregate(instrumented.aggregate, serial_oracle(spec),
+                        "instrumented");
 }
 
 TEST(ScenarioRunners, RunCampaignSliceWindowsAgree) {
   // Slices are run_campaign's unit of work; a slice starting at run k
   // must reproduce runs k.. of the full campaign (seeds by run index).
-  auto spec = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                PlatformConfig::paper(BusSetup::kRp),
-                                "canrdr", 6, 1234);
+  auto spec = make_spec(CampaignSpec::Protocol::kIsolation,
+                        PlatformConfig::paper(BusSetup::kRp), "canrdr", 6,
+                        1234);
   const auto full = run_campaign(spec);
   std::vector<RunOutcome> window(3);
   run_campaign_slice(spec, 2, window);
@@ -372,37 +469,49 @@ TEST(ScenarioRunners, RunCampaignSliceWindowsAgree) {
 }
 
 TEST(ScenarioRunners, FactoryFormContractErrors) {
-  // Exactly one workload form, and batching requires the factory form.
-  auto tua = workloads::make_eembc("canrdr");
-  auto both = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                PlatformConfig::paper(BusSetup::kRp),
-                                "canrdr", 1, 1);
-  both.tua = tua.get();
-  EXPECT_THROW((void)run_campaign(both), std::invalid_argument);
+  // Factories must build a stream, a campaign has at least one run, and
+  // a slice stays inside the campaign.
+  auto null_tua = make_spec(CampaignSpec::Protocol::kIsolation,
+                            PlatformConfig::paper(BusSetup::kRp), "canrdr",
+                            1, 1);
+  null_tua.tua_factory = []() { return std::unique_ptr<cpu::OpStream>(); };
+  EXPECT_THROW((void)run_campaign(null_tua), std::invalid_argument);
 
-  auto shared_batched =
-      make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 2, 1);
-  shared_batched.batch = 4;
-  EXPECT_THROW((void)run_campaign(shared_batched), std::invalid_argument);
+  auto null_corunner = make_spec(CampaignSpec::Protocol::kCorun,
+                                 PlatformConfig::paper(BusSetup::kRp),
+                                 "canrdr", 2, 1);
+  null_corunner.corunner_factories = {
+      []() { return std::unique_ptr<cpu::OpStream>(); }};
+  null_corunner.threads = 2;
+  EXPECT_THROW((void)run_campaign(null_corunner), std::invalid_argument);
+
+  auto no_runs = make_spec(CampaignSpec::Protocol::kIsolation,
+                           PlatformConfig::paper(BusSetup::kRp), "canrdr", 0,
+                           1);
+  EXPECT_THROW((void)run_campaign(no_runs), std::invalid_argument);
+
+  auto two_runs = make_spec(CampaignSpec::Protocol::kIsolation,
+                            PlatformConfig::paper(BusSetup::kRp), "canrdr",
+                            2, 1);
+  std::vector<RunOutcome> past_the_end(3);
+  EXPECT_THROW((void)run_campaign_slice(two_runs, 0, past_the_end),
+               std::invalid_argument);
 }
 
 TEST(ScenarioRunners, ContentionSlowsTheTuaDown) {
-  auto tua = workloads::make_eembc("cacheb");
   const auto iso = run_campaign(
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 3, 77));
+                PlatformConfig::paper(BusSetup::kRp), "cacheb", 3, 77));
   const auto con = run_campaign(
       make_spec(CampaignSpec::Protocol::kMaxContention,
-                PlatformConfig::paper_wcet(BusSetup::kRp), *tua, 3, 77));
+                PlatformConfig::paper_wcet(BusSetup::kRp), "cacheb", 3, 77));
   EXPECT_GT(slowdown(con, iso), 1.2);
 }
 
 TEST(ScenarioRunners, SlowdownOfSelfIsOne) {
-  auto tua = workloads::make_eembc("canrdr");
   const auto iso = run_campaign(
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 2, 0xC0FFEE));
+                PlatformConfig::paper(BusSetup::kRp), "canrdr", 2, 0xC0FFEE));
   EXPECT_DOUBLE_EQ(slowdown(iso, iso), 1.0);
 }
 
@@ -423,14 +532,13 @@ TEST(SplitPlatform, SplitNoSlowerThanNonSplitInIsolation) {
   // With one core there is no pipelining benefit, but end-to-end service
   // times are matched by construction: the two protocols should land
   // within a few percent of each other.
-  auto tua = workloads::make_eembc("tblook");
   PlatformConfig nonsplit = PlatformConfig::paper(BusSetup::kRp);
   PlatformConfig split = nonsplit;
   split.bus_protocol = BusProtocol::kSplit;
   const auto a = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        nonsplit, *tua, 3, 21));
+                                        nonsplit, "tblook", 3, 21));
   const auto b = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        split, *tua, 3, 21));
+                                        split, "tblook", 3, 21));
   EXPECT_NEAR(b.exec_time().mean() / a.exec_time().mean(), 1.0, 0.05);
 }
 
@@ -462,25 +570,23 @@ TEST(SplitPlatform, DeterministicPerSeed) {
 TEST(DramPlatform, RunsAndSpeedsUpStreaming) {
   // matrix streams sequentially: open rows make many misses cheaper than
   // the flat 28-cycle latency, so execution gets faster, never slower.
-  auto tua = workloads::make_eembc("matrix");
   PlatformConfig flat = PlatformConfig::paper(BusSetup::kRp);
   PlatformConfig banked = flat;
   banked.dram = mem::DramConfig{};
   const auto a = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        flat, *tua, 3, 31));
+                                        flat, "matrix", 3, 31));
   const auto b = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        banked, *tua, 3, 31));
+                                        banked, "matrix", 3, 31));
   EXPECT_LT(b.exec_time().mean(), a.exec_time().mean());
   EXPECT_GT(b.exec_time().mean(), 0.5 * a.exec_time().mean());
 }
 
 TEST(DramPlatform, NoCreditUnderflowWithCba) {
   // Bank-model worst case (28) keeps MaxL = 56 a valid upper bound.
-  auto tua = workloads::make_eembc("matrix");
   PlatformConfig cfg = PlatformConfig::paper_wcet(BusSetup::kCba);
   cfg.dram = mem::DramConfig{};
   const auto r = run_campaign(make_spec(
-      CampaignSpec::Protocol::kMaxContention, cfg, *tua, 2, 0xC0FFEE));
+      CampaignSpec::Protocol::kMaxContention, cfg, "matrix", 2, 0xC0FFEE));
   EXPECT_EQ(r.credit_underflows(), 0u);
 }
 
@@ -654,7 +760,7 @@ TEST(StreamingCampaign, DigestIsBitIdenticalAcrossBatchAndThreads) {
   // threads finish; exact mergeability must hide that entirely. Every
   // batch x thread combination lands on the same digest bytes.
   auto make = [](std::uint32_t batch, std::uint32_t threads) {
-    auto spec = make_factory_spec(CampaignSpec::Protocol::kMaxContention,
+    auto spec = make_spec(CampaignSpec::Protocol::kMaxContention,
                                   PlatformConfig::paper_wcet(BusSetup::kCba),
                                   "canrdr", 12, 77);
     spec.retain_raw = false;
@@ -679,7 +785,7 @@ TEST(StreamingCampaign, StatsMatchRawRetentionBitForBit) {
   // Streaming derives mean/min/max/stddev from exact sums; the raw
   // mode's OnlineStats folds the same run-ordered series. The derived
   // views must agree to the last bit on every key and element.
-  auto spec = make_factory_spec(CampaignSpec::Protocol::kMaxContention,
+  auto spec = make_spec(CampaignSpec::Protocol::kMaxContention,
                                 PlatformConfig::paper_wcet(BusSetup::kCba),
                                 "canrdr", 10, 31);
   spec.retain_raw = false;
@@ -723,7 +829,7 @@ TEST(StreamingCampaign, PeakRecordCountIsIndependentOfRunCount) {
   // O(batch * threads) records alive at once, raw keeps O(runs). Record
   // instances are census-counted, so measure the peak directly.
   auto run_with = [](std::uint32_t runs, bool retain) {
-    auto spec = make_factory_spec(CampaignSpec::Protocol::kIsolation,
+    auto spec = make_spec(CampaignSpec::Protocol::kIsolation,
                                   PlatformConfig::paper(BusSetup::kRp),
                                   "canrdr", runs, 3);
     spec.retain_raw = retain;
