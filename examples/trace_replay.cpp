@@ -8,10 +8,15 @@
 // 3. Attach a transaction-level bus tracer and dump what actually
 //    happened on the bus, transaction by transaction.
 //
+// The CSVs go to a fresh directory under the system temp directory that
+// is removed again at exit, so concurrent runs never collide.
+//
 //   ./trace_replay [kernel] [ops]
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <random>
+#include <string>
 
 #include "platform/multicore.hpp"
 #include "platform/platform_config.hpp"
@@ -19,19 +24,48 @@
 #include "trace/op_trace.hpp"
 #include "workloads/eembc_like.hpp"
 
+namespace {
+
+/// A directory of this process's own under the temp directory, removed
+/// with everything in it when the guard goes out of scope.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const auto base = std::filesystem::temp_directory_path();
+    std::random_device entropy;
+    do {
+      path_ = base / ("cbus_trace_replay." + std::to_string(entropy()));
+    } while (!std::filesystem::create_directory(path_));
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  [[nodiscard]] std::string file(const char* name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace cbus;
 
   const std::string kernel = argc > 1 ? argv[1] : "canrdr";
   const auto ops_to_capture =
       static_cast<std::size_t>(argc > 2 ? std::atoi(argv[2]) : 2000);
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string op_path = (dir / "cbus_ops.csv").string();
-  const std::string bus_path = (dir / "cbus_bus.csv").string();
 
   // 1. Capture.
   auto generator = workloads::make_eembc(kernel);
   generator->reset(42);
+  const ScratchDir dir;
+  const std::string op_path = dir.file("cbus_ops.csv");
+  const std::string bus_path = dir.file("cbus_bus.csv");
   const auto ops = trace::capture(*generator, ops_to_capture);
   trace::save_ops(op_path, ops);
   std::cout << "captured " << ops.size() << " ops from '" << kernel

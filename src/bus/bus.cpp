@@ -10,7 +10,7 @@ NonSplitBus::NonSplitBus(const BusConfig& config, Arbiter& arbiter,
       config_(config),
       arbiter_(arbiter),
       slave_(slave),
-      masters_(config.n_masters, nullptr),
+      masters_(config.n_masters),
       pending_(config.n_masters),
       arrival_(config.n_masters, 0) {
   CBUS_EXPECTS(config.n_masters >= 1 && config.n_masters <= kMaxMasters);
@@ -20,7 +20,7 @@ NonSplitBus::NonSplitBus(const BusConfig& config, Arbiter& arbiter,
 
 void NonSplitBus::connect_master(MasterId master, BusMaster& callbacks) {
   CBUS_EXPECTS(master < config_.n_masters);
-  masters_[master] = &callbacks;
+  masters_[master] = MasterLink(callbacks);
 }
 
 void NonSplitBus::request(const BusRequest& request, Cycle now) {
@@ -29,6 +29,7 @@ void NonSplitBus::request(const BusRequest& request, Cycle now) {
                    "master already has a pending request (non-split bus)");
   CBUS_EXPECTS_MSG(!is_holding(request.master),
                    "master is holding the bus and cannot raise a request");
+  wake_for_request(request.master, now);
   BusRequest stamped = request;
   stamped.issued_at = now;
   pending_[request.master] = stamped;
@@ -52,11 +53,12 @@ void NonSplitBus::arbitrate(Cycle now, Cycle start) {
   arbiter_.on_grant(winner, now);
   if (filter_ != nullptr) filter_->on_grant(winner, now);
 
+  wake_watchers(winner, now);  // the winner leaves the pending state
   latched_grant_ = *pending_[winner];
   pending_[winner].reset();
   pending_bits_ &= ~(1u << winner);
-  if (masters_[winner] != nullptr) {
-    masters_[winner]->on_latch(*latched_grant_, now);
+  if (masters_[winner].connected()) {
+    masters_[winner].on_latch(*latched_grant_, now);
   }
 
   auto& pm = stats_.master[winner];
@@ -79,8 +81,8 @@ void NonSplitBus::begin_latched(Cycle now) {
   transfer_ = Transfer{req, hold, hold};
   stats_.master[req.master].hold_cycles += hold;
   if (observer_ != nullptr) observer_->on_transfer_start(req, now, hold);
-  if (masters_[req.master] != nullptr) {
-    masters_[req.master]->on_grant(req, now, hold);
+  if (masters_[req.master].connected()) {
+    masters_[req.master].on_grant(req, now, hold);
   }
 }
 
@@ -134,8 +136,8 @@ void NonSplitBus::complete_transfer(Cycle now) {
   if (done.forced_hold == 0) slave_.complete_transaction(done, now);
   ++stats_.master[done.master].completions;
   if (observer_ != nullptr) observer_->on_transfer_complete(done, now);
-  if (masters_[done.master] != nullptr) {
-    masters_[done.master]->on_complete(done, now);
+  if (masters_[done.master].connected()) {
+    masters_[done.master].on_complete(done, now);
   }
   // Overlapped re-arbitration: next transfer starts at now + 1 with no
   // idle gap.

@@ -239,7 +239,7 @@ class NonSplitBus final : public Interconnect {
   EligibilityFilter* filter_ = nullptr;
   BusObserver* observer_ = nullptr;
 
-  std::vector<BusMaster*> masters_;
+  std::vector<MasterLink> masters_;
   std::vector<std::optional<BusRequest>> pending_;
   std::uint32_t pending_bits_ = 0;  ///< bit per master, mirrors pending_
   std::vector<Cycle> arrival_;  ///< issue cycle per master (valid if pending)

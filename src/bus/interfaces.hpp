@@ -5,10 +5,14 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bus/request.hpp"
 #include "common/types.hpp"
 #include "sim/component.hpp"
+#include "sim/lane.hpp"
 
 namespace cbus::bus {
 
@@ -70,23 +74,82 @@ class BusPort {
   /// True if the master has a raised-but-not-yet-granted request.
   [[nodiscard]] virtual bool has_pending(MasterId master) const = 0;
 
-  /// Bring every part behind the port up to the current cycle before
-  /// state it does not expose itself -- the credit filters gating it --
-  /// is read. An interconnect that clocks its parts lazily
-  /// (SegmentedInterconnect) folds them here; a bus that ticks
-  /// everything every cycle has nothing to do, and pays one load for it
+  /// Bring the port up to its lane's current cycle before state it does
+  /// not expose itself -- its statistics, the credit filters gating it
+  /// -- is read: fold the interconnect's own clock (sim::settle), then
+  /// any parts behind it that run on clocks of their own
+  /// (SegmentedInterconnect's segments). Cheap when nothing lags
   /// (virtual contenders ask on every COMP-latch check).
   void settle() const {
+    sim::settle(clocked_);
     if (lazy_parts_) settle_parts();
   }
 
+  /// Wake `watcher` (sim::wake) whenever `master`'s pending state
+  /// changes -- a request raised, a request latched by arbitration:
+  /// `watcher`'s horizon reads has_pending(master) (a COMP-latch
+  /// contender watching the TuA). `watcher` must outlive the port's use.
+  void watch_pending(MasterId master, sim::Component& watcher) {
+    watchers_.emplace_back(master, &watcher);
+  }
+
  protected:
+  /// Wake the components watching `master`'s pending state.
+  void wake_watchers(MasterId master, Cycle now) const {
+    for (const auto& [watched, watcher] : watchers_) {
+      if (watched == master) sim::wake(watcher, now);
+    }
+  }
+
+  /// The first step of every request(): fold the port's own clock up to
+  /// `now` (it is about to be written), then wake `master`'s watchers.
+  void wake_for_request(MasterId master, Cycle now) const {
+    sim::wake(clocked_, now);
+    wake_watchers(master, now);
+  }
+
+  /// The kernel component behind the port (the Interconnect itself).
+  sim::Component* clocked_ = nullptr;
   /// Set by a port whose parts run on their own clocks.
   bool lazy_parts_ = false;
 
  private:
   /// settle() for ports with lazy parts.
   virtual void settle_parts() const {}
+
+  std::vector<std::pair<MasterId, sim::Component*>> watchers_;
+};
+
+/// A connected master as the bus calls it: every callback first wakes
+/// the master's kernel clock (the callback writes into it). The target
+/// may be a kernel component (a core, a virtual contender) or a plain
+/// callback target (a segment's port relay), which needs no wake.
+class MasterLink {
+ public:
+  MasterLink() = default;
+  explicit MasterLink(BusMaster& callbacks)
+      : callbacks_(&callbacks),
+        clocked_(dynamic_cast<sim::Component*>(&callbacks)) {}
+
+  [[nodiscard]] bool connected() const noexcept {
+    return callbacks_ != nullptr;
+  }
+  void on_latch(const BusRequest& request, Cycle now) const {
+    sim::wake(clocked_, now);
+    callbacks_->on_latch(request, now);
+  }
+  void on_grant(const BusRequest& request, Cycle now, Cycle hold) const {
+    sim::wake(clocked_, now);
+    callbacks_->on_grant(request, now, hold);
+  }
+  void on_complete(const BusRequest& request, Cycle now) const {
+    sim::wake(clocked_, now);
+    callbacks_->on_complete(request, now);
+  }
+
+ private:
+  BusMaster* callbacks_ = nullptr;
+  sim::Component* clocked_ = nullptr;
 };
 
 /// Passive observer of bus activity: request arrival, transfer start and
@@ -158,7 +221,9 @@ class EligibilityFilter {
 /// segment buses.
 class Interconnect : public sim::Component, public BusPort {
  public:
-  using sim::Component::Component;
+  explicit Interconnect(std::string name) : sim::Component(std::move(name)) {
+    clocked_ = this;
+  }
 
   /// Global per-master accounting in BusStatistics shape.
   [[nodiscard]] virtual const BusStatistics& statistics() const = 0;

@@ -50,7 +50,7 @@ SegmentedInterconnect::SegmentedInterconnect(
       filters_(config.n_segments(), nullptr),
       home_(config.n_masters),
       slot_(config.n_masters),
-      callbacks_(config.n_masters, nullptr),
+      callbacks_(config.n_masters),
       flight_(config.n_masters),
       hop_histogram_(config.topology.diameter() + 1, 0) {
   config_.validate();
@@ -141,7 +141,7 @@ SegmentedInterconnect::~SegmentedInterconnect() = default;
 void SegmentedInterconnect::connect_master(MasterId master,
                                            BusMaster& callbacks) {
   CBUS_EXPECTS(master < config_.n_masters);
-  callbacks_[master] = &callbacks;
+  callbacks_[master] = MasterLink(callbacks);
 }
 
 void SegmentedInterconnect::request(const BusRequest& request, Cycle now) {
@@ -149,6 +149,7 @@ void SegmentedInterconnect::request(const BusRequest& request, Cycle now) {
   CBUS_EXPECTS(m < config_.n_masters);
   CBUS_EXPECTS_MSG(!flight_[m].active,
                    "master already has a transaction in the interconnect");
+  wake_for_request(m, now);
 
   InFlight& entry = flight_[m];
   entry.active = true;
@@ -445,6 +446,13 @@ void SegmentedInterconnect::hop_slave_complete(
   }
 }
 
+void SegmentedInterconnect::hop_latched(std::uint32_t segment,
+                                        MasterId local, Cycle now) const {
+  // A home core's request leaves the pending state (has_pending).
+  const Segment& seg = segments_[segment];
+  if (local < seg.cores.size()) wake_watchers(seg.cores[local], now);
+}
+
 void SegmentedInterconnect::hop_granted(std::uint32_t segment,
                                         MasterId local,
                                         const BusRequest& local_request,
@@ -474,8 +482,8 @@ void SegmentedInterconnect::hop_granted(std::uint32_t segment,
     if (observer_ != nullptr) {
       observer_->on_transfer_start(flight_[master].original, now, hold);
     }
-    if (callbacks_[master] != nullptr) {
-      callbacks_[master]->on_grant(flight_[master].original, now, hold);
+    if (callbacks_[master].connected()) {
+      callbacks_[master].on_grant(flight_[master].original, now, hold);
     }
   }
 }
@@ -510,8 +518,8 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
     const BusRequest original = entry.original;
     entry.active = false;  // cleared first: the master may re-raise
     if (observer_ != nullptr) observer_->on_transfer_complete(original, now);
-    if (callbacks_[master] != nullptr) {
-      callbacks_[master]->on_complete(original, now);
+    if (callbacks_[master].connected()) {
+      callbacks_[master].on_complete(original, now);
     }
     return;
   }

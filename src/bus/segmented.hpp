@@ -287,6 +287,9 @@ class SegmentedInterconnect final : public Interconnect {
     SegmentedInterconnect* owner = nullptr;
     std::uint32_t segment = 0;
     MasterId local = 0;
+    void on_latch(const BusRequest& /*request*/, Cycle now) override {
+      owner->hop_latched(segment, local, now);
+    }
     void on_grant(const BusRequest& request, Cycle now, Cycle hold) override {
       owner->hop_granted(segment, local, request, now, hold);
     }
@@ -458,6 +461,7 @@ class SegmentedInterconnect final : public Interconnect {
                   Cycle now);
   void hop_slave_complete(std::uint32_t segment,
                           const BusRequest& local_request, Cycle now);
+  void hop_latched(std::uint32_t segment, MasterId local, Cycle now) const;
   void hop_granted(std::uint32_t segment, MasterId local,
                    const BusRequest& local_request, Cycle now, Cycle hold);
   void hop_completed(std::uint32_t segment, MasterId local,
@@ -482,7 +486,7 @@ class SegmentedInterconnect final : public Interconnect {
   std::vector<std::uint32_t> home_;  ///< per master
   std::vector<std::uint32_t> slot_;  ///< per master: home-segment slot
   BusObserver* observer_ = nullptr;  ///< global-level milestones (may be null)
-  std::vector<BusMaster*> callbacks_;
+  std::vector<MasterLink> callbacks_;
   std::vector<InFlight> flight_;
 
   /// Live global per-master counters; busy/idle/total assembled on demand.

@@ -10,7 +10,7 @@ SplitBus::SplitBus(const BusConfig& config, Arbiter& arbiter,
       config_(config),
       arbiter_(arbiter),
       slave_(slave),
-      masters_(config.n_masters, nullptr),
+      masters_(config.n_masters),
       pending_(config.n_masters),
       arrival_(config.n_masters, 0),
       outstanding_(config.n_masters, false) {
@@ -21,13 +21,14 @@ SplitBus::SplitBus(const BusConfig& config, Arbiter& arbiter,
 
 void SplitBus::connect_master(MasterId master, BusMaster& callbacks) {
   CBUS_EXPECTS(master < config_.n_masters);
-  masters_[master] = &callbacks;
+  masters_[master] = MasterLink(callbacks);
 }
 
 void SplitBus::request(const BusRequest& request, Cycle now) {
   CBUS_EXPECTS(request.master < config_.n_masters);
   CBUS_EXPECTS_MSG(can_request(request.master),
                    "master already has a transaction in flight");
+  wake_for_request(request.master, now);
   BusRequest stamped = request;
   stamped.issued_at = now;
   pending_[request.master] = stamped;
@@ -88,6 +89,7 @@ void SplitBus::start_next_phase(Cycle now) {
   arbiter_.on_grant(winner, now);
   if (filter_ != nullptr) filter_->on_grant(winner, now);
 
+  wake_watchers(winner, now);  // the winner leaves the pending state
   const BusRequest req = *pending_[winner];
   pending_[winner].reset();
   auto& pm = stats_.master[winner];
@@ -136,8 +138,8 @@ void SplitBus::finish_phase(Cycle now) {
     case PhaseKind::kAtomic: {
       ++stats_.master[done.master].completions;
       outstanding_[done.master] = false;
-      if (masters_[done.master] != nullptr) {
-        masters_[done.master]->on_complete(done.request, now);
+      if (masters_[done.master].connected()) {
+        masters_[done.master].on_complete(done.request, now);
       }
       break;
     }
@@ -166,9 +168,9 @@ void SplitBus::tick(Cycle now) {
     phase_ = *latched_phase_;
     latched_phase_.reset();
     if (phase_->kind != PhaseKind::kData &&
-        masters_[phase_->master] != nullptr) {
-      masters_[phase_->master]->on_grant(phase_->request, now,
-                                         phase_->remaining);
+        masters_[phase_->master].connected()) {
+      masters_[phase_->master].on_grant(phase_->request, now,
+                                        phase_->remaining);
     }
   }
 

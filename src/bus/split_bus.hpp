@@ -120,7 +120,7 @@ class SplitBus final : public Interconnect {
   SplitSlave& slave_;
   EligibilityFilter* filter_ = nullptr;
 
-  std::vector<BusMaster*> masters_;
+  std::vector<MasterLink> masters_;
   std::vector<std::optional<BusRequest>> pending_;
   std::vector<Cycle> arrival_;
   std::vector<bool> outstanding_;

@@ -11,6 +11,7 @@ SetAssocCache::SetAssocCache(const CacheConfig& config, rng::RandBank& bank,
     : config_(config), placement_seed_(bank.derive_seed()) {
   config_.validate();
   ways_.resize(static_cast<std::size_t>(config_.n_sets()) * config_.ways);
+  victim_metas_.resize(config_.ways);
   switch (config_.replacement) {
     case ReplacementKind::kLru:
       replacement_ = std::make_unique<LruReplacement>();
@@ -74,9 +75,10 @@ AccessResult SetAssocCache::access(Addr addr, bool allocate_on_miss,
   }
   if (slot == nullptr) {
     // All ways valid: consult the replacement policy.
-    std::vector<WayMeta> metas(config_.ways);
-    for (std::uint32_t w = 0; w < config_.ways; ++w) metas[w] = base[w].meta;
-    const std::uint32_t victim = replacement_->victim(metas);
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      victim_metas_[w] = base[w].meta;
+    }
+    const std::uint32_t victim = replacement_->victim(victim_metas_);
     CBUS_ASSERT(victim < config_.ways);
     slot = &base[victim];
     result.victim_valid = true;

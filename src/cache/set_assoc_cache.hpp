@@ -89,6 +89,9 @@ class SetAssocCache {
   std::uint64_t placement_seed_;
   std::vector<Way> ways_;  ///< n_sets x ways, row-major
   std::unique_ptr<ReplacementPolicy> replacement_;
+  /// One set's metadata handed to the replacement policy on an eviction
+  /// (allocated once: evictions are on the hot path).
+  std::vector<WayMeta> victim_metas_;
   std::uint64_t use_stamp_ = 0;
   CacheStats stats_;
 };

@@ -1,5 +1,7 @@
 #include "core/virtual_contender.hpp"
 
+#include <algorithm>
+
 #include "common/contracts.hpp"
 
 namespace cbus::core {
@@ -17,6 +19,10 @@ VirtualContender::VirtualContender(const VirtualContenderConfig& config,
       config.policy == ContenderPolicy::kAlwaysCompete || credits != nullptr,
       "the COMP latch needs the credit state to watch BUDGi");
   bus_.connect_master(config_.self, *this);
+  // The COMP latch reads REQ1: a TuA request or grant must wake it.
+  if (config_.policy == ContenderPolicy::kCompLatch) {
+    bus_.watch_pending(config_.tua, *this);
+  }
 }
 
 bool VirtualContender::budget_full() const {
@@ -50,13 +56,15 @@ Cycle VirtualContender::next_activity(Cycle now) const {
   if (latched) return bus_.can_request(config_.self) ? now + 1 : sim::kNever;
   if (!bus_.has_pending(config_.tua)) return sim::kNever;
   if (credits_ == nullptr) return now + 1;
-  // Cycle now + 1 + j reads BUDGi after j more recovery ticks. Holding
-  // the bus only lowers BUDGi, so assuming recovery is early, never late.
+  // Cycle now + 1 + j reads BUDGi after j more recovery ticks -- but
+  // not before the transfer granted last ends: the holder pays at least
+  // its recovery, so a budget below the cap stays below it until then.
   const MasterId slot = credit_slot();
   bus_.settle();
-  return sim::horizon_after(
-      now + 1,
-      credits_->recovery_cycles(slot, credits_->config().saturation[slot]));
+  const Cycle recovery =
+      credits_->recovery_cycles(slot, credits_->config().saturation[slot]);
+  const Cycle horizon = sim::horizon_after(now + 1, recovery);
+  return recovery > 0 ? std::max(horizon, charged_until_) : horizon;
 }
 
 void VirtualContender::skip(Cycle /*k*/) {
@@ -64,9 +72,10 @@ void VirtualContender::skip(Cycle /*k*/) {
 }
 
 void VirtualContender::on_grant(const bus::BusRequest& /*request*/,
-                                Cycle /*now*/, Cycle /*hold*/) {
+                                Cycle now, Cycle hold) {
   // COMPi is reset whenever core i is granted access to the bus (Table I).
   comp_ = false;
+  charged_until_ = now + hold;
   ++grants_;
 }
 

@@ -237,6 +237,7 @@ void AdaptiveController::sample(Cycle now) {
   // since the last sample. wait_cycles is credited at grant time, so a
   // long ineligibility stall lands as one lump -- the bucketed window
   // smooths it, and the per-epoch rate is clamped below.
+  settle_bus();
   const auto& masters = bus_stats_->master;
   for (std::size_t m = 0; m < busy_snapshot_.size(); ++m) {
     const Cycle busy = masters.size() > m
@@ -334,6 +335,9 @@ void AdaptiveController::epoch(Cycle now) {
     --total;
   }
 
+  // The bus's and the contenders' horizons read the increments: fold
+  // them under the old ones first.
+  if (next != applied_) wake_readers(now);
   for (std::size_t m = 0; m < n; ++m) {
     if (next[m] != applied_[m]) {
       credits_->set_increment(static_cast<MasterId>(m), next[m]);

@@ -43,6 +43,7 @@
 #include "core/credit_state.hpp"
 #include "obs/demand_window.hpp"
 #include "sim/component.hpp"
+#include "sim/lane.hpp"
 
 namespace cbus::ctrl {
 
@@ -126,6 +127,29 @@ class CreditController : public sim::Component {
   /// The per-master Table-I increments currently applied, in budget
   /// units per cycle (the configured values for the static controller).
   [[nodiscard]] virtual std::vector<std::uint64_t> increments() const = 0;
+
+  /// Wire the controller to its kernel neighbours (sim::Component's
+  /// wake/settle contract): `bus`, whose statistics it samples (settled
+  /// first) and whose credit filter's horizon reads the increments, and
+  /// `readers`, further components whose horizons read them (the
+  /// COMP-latch contenders). Every retune wakes them all first.
+  void connect(sim::Component& bus, std::vector<sim::Component*> readers) {
+    bus_ = &bus;
+    readers_ = std::move(readers);
+  }
+
+ protected:
+  /// Bring the bus up to date before reading its statistics.
+  void settle_bus() const { sim::settle(bus_); }
+  /// Wake the bus and the readers ahead of an increment change.
+  void wake_readers(Cycle now) const {
+    sim::wake(bus_, now);
+    for (sim::Component* reader : readers_) sim::wake(reader, now);
+  }
+
+ private:
+  sim::Component* bus_ = nullptr;
+  std::vector<sim::Component*> readers_;
 };
 
 /// Today's behavior behind the interface: the configured increments are

@@ -492,6 +492,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     telemetry.executed_cycles += cycles.executed;
     telemetry.simulated_cycles += cycles.simulated;
     telemetry.segment_cycles_executed += cycles.segment_cycles_executed;
+    telemetry.component_ticks_executed += cycles.component_ticks_executed;
     if (meter.has_value()) {
       meter->update(telemetry.runs_done, telemetry.slices_done);
     }

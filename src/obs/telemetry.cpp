@@ -44,7 +44,9 @@ void write_telemetry_json(std::ostream& out, const Telemetry& t,
   out << ",\n  \"peak_rss_kb\": " << t.peak_rss_kb;
   out << ",\n  \"kernel\": {\"executed_cycles\": " << t.executed_cycles
       << ", \"simulated_cycles\": " << t.simulated_cycles
-      << ", \"segment_cycles_executed\": " << t.segment_cycles_executed << "}";
+      << ", \"segment_cycles_executed\": " << t.segment_cycles_executed
+      << ", \"component_ticks_executed\": " << t.component_ticks_executed
+      << "}";
   out << "\n}\n";
 }
 

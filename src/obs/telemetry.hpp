@@ -38,6 +38,9 @@ struct Telemetry {
   /// Segment-bus cycles the segmented interconnects ticked (only the due
   /// segments of each executed cycle); 0 on single-bus runs.
   std::uint64_t segment_cycles_executed = 0;
+  /// Component ticks the kernels executed (only the components due in
+  /// each executed lane-cycle tick).
+  std::uint64_t component_ticks_executed = 0;
 
   [[nodiscard]] double runs_per_sec() const noexcept {
     return wall_seconds > 0.0

@@ -54,6 +54,7 @@ void Timeline::attach(platform::Multicore& machine) {
   demand_.emplace(n_masters_, config_.demand_window);
 
   machine.set_bus_observer(this);
+  port_ = &machine.bus_port();
   seg_ = machine.segmented();
 
   // Per-master credit readers: a master's budget lives in its home
@@ -138,9 +139,9 @@ void Timeline::on_transfer_complete(const bus::BusRequest& request,
 
 void Timeline::tick(Cycle now) {
   if (!in_window(now)) return;
-  // Segment buses run on their own clocks: bring the credit filters
-  // behind them up to this cycle before reading.
-  if (seg_ != nullptr) seg_->settle();
+  // The interconnect (and each segment bus behind it) runs on its own
+  // clock: bring the credit filters up to this cycle before reading.
+  port_->settle();
   // Underflow clamps are instants, polled every cycle so none is missed;
   // they only ever fire on mis-configured MaxL, so the compare stays cold.
   for (MasterId m = 0; m < static_cast<MasterId>(credit_.size()); ++m) {

@@ -158,6 +158,7 @@ class Timeline final : public bus::BusObserver, public sim::Component {
 
   std::vector<MasterState> masters_;
   std::vector<CreditSource> credit_;
+  const bus::BusPort* port_ = nullptr;  ///< the machine's interconnect
   const bus::SegmentedInterconnect* seg_ = nullptr;
 
   std::vector<Track> tracks_;

@@ -183,6 +183,9 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
   for (auto& vc : virtual_contenders_) kernel_.add(*vc);
   kernel_.add(*bus_);
   if (controller_ && config_.controller.adaptive()) {
+    std::vector<sim::Component*> readers;
+    for (auto& vc : virtual_contenders_) readers.push_back(vc.get());
+    controller_->connect(*bus_, std::move(readers));
     kernel_.add(*controller_);
   }
 }
@@ -215,9 +218,11 @@ RunResult Multicore::run_all(Cycle max_cycles) {
 }
 
 void Multicore::attach(sim::BatchKernel& batch, std::size_t lane) {
-  for (sim::Component* component : kernel_.components()) {
-    batch.add(lane, *component);
-  }
+  // Every kernel component -- a tracer the caller registered included --
+  // moves into the batch lane (a component is clocked by one lane).
+  const std::vector<sim::Component*> tick_order(kernel_.components().begin(),
+                                                kernel_.components().end());
+  for (sim::Component* component : tick_order) batch.add(lane, *component);
   if (engine_ != nullptr && controller_ != nullptr &&
       config_.controller.adaptive()) {
     batch.add_post(lane, *controller_);
@@ -225,6 +230,12 @@ void Multicore::attach(sim::BatchKernel& batch, std::size_t lane) {
 }
 
 RunResult Multicore::collect(bool finished, Cycle executed) const {
+  // Everything below is read directly: fold every component -- and the
+  // interconnect's lazily clocked parts -- up to its lane's clock.
+  for (const auto& core : cores_) sim::settle(core.get());
+  for (const auto& vc : virtual_contenders_) sim::settle(vc.get());
+  sim::settle(controller_.get());
+  bus_->settle();
   RunResult result;
   result.tua_finished = finished && cores_.front()->done();
   result.tua_cycles = cores_.front()->done() ? cores_.front()->finish_cycle()
@@ -238,8 +249,6 @@ RunResult Multicore::collect(bool finished, Cycle executed) const {
   metrics::probe_tua(result.tua_cycles, result.tua_stats, result.record);
   metrics::probe_bus(result.bus_stats, result.record);
   metrics::probe_fairness(result.bus_stats, result.record);
-  // The filters are read directly: settle a lazily clocked interconnect.
-  bus_->settle();
   std::uint64_t underflows = 0;
   for (const auto& f : filters_) underflows += f->state().underflow_clamps();
   std::vector<double> budgets;

@@ -160,6 +160,7 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
       outcomes[lane].record = std::move(run.record);
       cycles.executed += single.executed_cycles();
       cycles.simulated += single.simulated_cycles();
+      cycles.component_ticks_executed += single.component_ticks();
       cycles.segment_cycles_executed += segment_cycles(*r.machine);
     }
     return cycles;
@@ -175,6 +176,7 @@ KernelCycles run_campaign_slice(const CampaignSpec& spec,
       spec.max_cycles);
   cycles.executed = batch.executed_cycles();
   cycles.simulated = batch.simulated_cycles();
+  cycles.component_ticks_executed = batch.component_ticks();
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     RunResult r = replicas[lane].machine->harvest(fired[lane], batch.now());
     outcomes[lane].finished = r.tua_finished;

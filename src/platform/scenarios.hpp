@@ -137,6 +137,9 @@ struct KernelCycles {
   /// Segment-bus cycles ticked by the lanes' segmented interconnects
   /// (0 on the single bus): what the per-segment clocks executed.
   std::uint64_t segment_cycles_executed = 0;
+  /// Component ticks the lanes executed: an executed lane-cycle ticks
+  /// only the components due in it (the per-component clocks).
+  std::uint64_t component_ticks_executed = 0;
 };
 
 /// Run the contiguous slice of runs [first_run, first_run +

@@ -17,17 +17,19 @@
 // already instruction-cache-hot) and costs 5-10% in data-cache misses,
 // so campaign slices use a coarse stripe (kCampaignStripe).
 //
-// Quiet cycles are skipped per lane exactly as in the serial Kernel (see
-// sim::Component): after each executed cycle a lane jumps to its
-// components' earliest horizon, clamped to max_cycles; the skipped cycles
-// are pure countdowns the components fold, a component without a horizon
+// Every lane runs on the per-component clocks of the serial Kernel (see
+// sim::Component and sim::Lane): an executed lane-cycle ticks only the
+// lane's due components, then the lane jumps to its earliest cached
+// horizon, clamped to max_cycles; a component that is not due lags and
+// is folded when woken, read or stopped, a component without a horizon
 // is ticked every cycle, and predicates are polled after executed cycles
 // only. A jump may carry a lane past the current stripe; it then sits
 // out the stripes it skipped, so lanes run on their own clocks and the
 // batch clock only marks stripe bases. This striped, skipping loop is
 // the only campaign path: run_campaign_slice installs no stage. The
-// staged (engine) loop below executes every cycle and is kept only for
-// perfbench's traced replica and the engine-vs-classic parity test.
+// staged (engine) loop below ticks every component in every cycle and
+// is kept only for perfbench's traced replica and the engine-vs-classic
+// parity test.
 //
 // Determinism: lanes share no state, so a lane's components observe
 // exactly the tick sequence a serial Kernel would deliver -- any stripe,
@@ -48,6 +50,7 @@
 #include "sim/clock.hpp"
 #include "sim/component.hpp"
 #include "sim/kernel.hpp"
+#include "sim/lane.hpp"
 
 namespace cbus::sim {
 
@@ -98,9 +101,11 @@ class BatchKernel {
   /// lockstep. The stage must outlive the kernel. See BatchStage.
   void set_stage(BatchStage& stage) noexcept { stage_ = &stage; }
 
-  [[nodiscard]] std::size_t lanes() const noexcept {
-    return lane_components_.size();
-  }
+  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
+
+  /// Make every component due in every cycle (Lane::hold_current): the
+  /// skip-parity tests' reference. Call before the first cycle.
+  void hold_components_current();
 
   /// Components registered in lane `lane`.
   [[nodiscard]] std::size_t lane_component_count(std::size_t lane) const;
@@ -140,19 +145,20 @@ class BatchKernel {
       // lane order, so the iteration is deterministic (not that lanes
       // could tell -- they share no state).
       std::erase_if(live, [&](std::size_t l) {
-        const std::vector<Component*>& components = lane_components_[l];
+        Lane& lane = lanes_[l];
         Cycle& t = lane_now[l];
         while (t < end) {
-          for (Component* component : components) component->tick(t);
+          lane.execute(t);
           ++executed_;
           // The run_until contract: polled once after every executed
           // cycle.
           if (done(l)) {
             fired[l] = true;
             simulated_ += t + 1 - start;
+            lane.sync(t + 1);
             return true;
           }
-          t = quiesce(components, t, max_cycles);
+          t = lane.next(max_cycles);
         }
         return false;
       });
@@ -162,7 +168,10 @@ class BatchKernel {
       if (live.empty()) break;
       clock_.advance(end - base);
     }
-    for (const std::size_t l : live) simulated_ += lane_now[l] - start;
+    for (const std::size_t l : live) {
+      simulated_ += lane_now[l] - start;
+      lanes_[l].sync(lane_now[l]);
+    }
     return fired;
   }
   std::vector<bool> run_until(std::nullptr_t, Cycle) {
@@ -179,6 +188,10 @@ class BatchKernel {
   [[nodiscard]] std::uint64_t simulated_cycles() const noexcept {
     return simulated_;
   }
+  /// Component ticks executed, summed over every lane's components: an
+  /// executed lane-cycle ticks only the due ones (the staged loop ticks
+  /// them all).
+  [[nodiscard]] std::uint64_t component_ticks() const noexcept;
 
  private:
   template <class Done>
@@ -198,17 +211,9 @@ class BatchKernel {
     std::vector<std::size_t> live = all_lanes();
     while (!live.empty() && clock_.now() < max_cycles) {
       const Cycle now = clock_.now();
-      for (const std::size_t l : live) {
-        for (Component* component : lane_components_[l]) {
-          component->tick(now);
-        }
-      }
+      for (const std::size_t l : live) lanes_[l].step(now);
       stage_->on_cycle(now, live);
-      for (const std::size_t l : live) {
-        for (Component* component : post_components_[l]) {
-          component->tick(now);
-        }
-      }
+      for (const std::size_t l : live) post_lanes_[l].step(now);
       executed_ += live.size();
       simulated_ += live.size();
       std::erase_if(live, [&](std::size_t l) {
@@ -228,8 +233,8 @@ class BatchKernel {
   void expect_replicas() const;
   [[nodiscard]] std::vector<std::size_t> all_lanes() const;
 
-  std::vector<std::vector<Component*>> lane_components_;
-  std::vector<std::vector<Component*>> post_components_;
+  std::vector<Lane> lanes_;
+  std::vector<Lane> post_lanes_;
   BatchStage* stage_ = nullptr;
   Cycle stripe_;
   Clock clock_;

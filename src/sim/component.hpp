@@ -7,31 +7,56 @@
 // cycle t, and the paper's 1-cycle arbitration delay is modelled *inside*
 // the bus (grant takes effect at t+1), not by tick ordering.
 //
-// Quiescence (the kernels' skipping contract): most cycles of a lane are
-// pure countdowns -- a core computing, a transfer in flight, credit
-// recovering towards a threshold. After every EXECUTED cycle the kernels
-// ask each component for its horizon, next_activity(now): the next cycle
-// at which its tick may do anything a closed-form skip(k) cannot fold.
-// The lane jumps to the minimum horizon: every component folds the k
-// cycles in between with skip(k), and nothing is ticked for them. Since
-// no component acts in a skipped cycle, no callback fires there either,
-// so horizons computed after the executed cycle stay valid across the
-// jump; stop predicates are polled after executed cycles only. A
-// component without a horizon keeps the default `now + 1` and is ticked
-// every cycle (tracers, the split bus).
+// Local clocks (the kernels' skipping contract): most cycles of a
+// component are pure countdowns -- a core computing, a transfer in
+// flight, credit recovering towards a threshold. Every component keeps a
+// clock its lane (sim::Lane) manages: `synced`, the first cycle it has
+// not yet accounted for, and `due`, its cached horizon
+// next_activity(now) -- the next cycle at which its tick may do anything
+// a closed-form skip(k) cannot fold. On an executed cycle t the kernel
+// walks the components in registration order and acts only on those with
+// `due <= t`: it folds their lag with skip(t - synced), ticks them, and
+// after the cycle asks each component it ticked (or that was woken, see
+// below) for its new horizon. The next executed cycle is the minimum of
+// the cached horizons; a component that is not due is never ticked,
+// asked or folded, so it lags behind the lane until something touches
+// it. A component without a horizon keeps the default `now + 1` and is
+// ticked in every cycle (tracers, the split bus, TDMA off-slot cycles
+// via the bus's own horizon); stop predicates are polled after executed
+// cycles only.
 //
-// Local clocks: the same contract applies INSIDE a component made of
-// clocked parts. bus::SegmentedInterconnect keeps one clock per segment
-// bus: its tick runs only the segments whose own horizon has arrived,
-// and a quiet segment is folded in one skip when something next writes
-// into it. Between touches such a part lags behind the kernel's clock,
-// so state of it that other components read directly (the credit
-// filters behind the segments: virtual contenders' COMP latches, the
-// tracer, run harvest) is read after bus::BusPort::settle(), which folds
-// every part up to the component's clock and changes nothing a later
-// cycle sees.
+// Wakes: a horizon stays valid only while no other component acts on
+// the component, so every write into a component from outside its own
+// tick is preceded by sim::wake(target, now). The wake folds the target
+// up to `now` -- through `now` when the target has already had its turn
+// in that cycle (a fold does not commute with a write: credit recovery
+// saturates at its cap) -- and marks it due, so the kernel ticks it in
+// this cycle if its turn is still to come and re-asks its horizon after
+// the cycle either way. A wake never asks for a horizon itself. The wake
+// points: a request into the interconnect (the interconnect wakes
+// itself, then the components that watch the master's pending state --
+// the COMP-latch contenders watching the TuA); on_latch, on_grant and
+// on_complete into a master (the bus wakes the master first); the
+// controller's retune of the credit increments (it wakes the bus and
+// the contenders whose horizons read them).
+//
+// Reads: a component whose state another one reads directly is brought
+// up to date first with sim::settle(target), which folds it up to the
+// lane's position and changes nothing a later cycle sees. The readers:
+// virtual contenders reading BUDGi, the adaptive controller sampling bus
+// statistics, obs::Timeline's per-cycle poll and Multicore's run harvest
+// -- all through bus::BusPort::settle(), which folds the interconnect
+// and then any lazily clocked parts behind it. When a lane stops (its
+// predicate fired or the budget ran out) every component is folded to
+// the lane's clock, so a finished run reads current everywhere.
+//
+// The same contract applies INSIDE a component made of clocked parts:
+// bus::SegmentedInterconnect keeps one clock per segment bus, ticks only
+// the due segments and folds a quiet one when something next writes into
+// it; BusPort::settle() folds those parts too.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -39,6 +64,8 @@
 #include "common/types.hpp"
 
 namespace cbus::sim {
+
+class Lane;
 
 /// Horizon of a component that stays quiet until ANOTHER component acts
 /// (e.g. a core blocked on a bus completion callback).
@@ -55,18 +82,20 @@ class Component {
 
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
-  virtual ~Component() = default;
+  /// Leaves the lane clocking it, if any (sim::Lane).
+  virtual ~Component();
 
   /// Advance this component by one cycle. `now` is the cycle being executed.
   virtual void tick(Cycle now) = 0;
 
-  /// Quiescence horizon, asked after cycle `now` was executed: the next
-  /// cycle (> now) whose tick may do more than count down, or kNever when
-  /// only another component's action can wake this one. Every cycle in
-  /// between must be a pure countdown that skip() reproduces exactly,
-  /// provided no other component acts meanwhile. Returning early is
-  /// always safe (it only costs an executed quiet cycle); returning late
-  /// is a bug. Must not change state. The default ticks every cycle.
+  /// Quiescence horizon, asked after an executed cycle `now` in which
+  /// this component ticked or was woken: the next cycle (> now) whose
+  /// tick may do more than count down, or kNever when only another
+  /// component's action (a wake) can change that. Every cycle in between
+  /// must be a pure countdown that skip() reproduces exactly, provided
+  /// nothing wakes this component meanwhile. Returning early is always
+  /// safe (it only costs a tick); returning late is a bug. Must not
+  /// change state. The default ticks every cycle.
   [[nodiscard]] virtual Cycle next_activity(Cycle now) const {
     return now + 1;
   }
@@ -79,6 +108,12 @@ class Component {
   [[nodiscard]] std::string_view name() const noexcept { return name_; }
 
  private:
+  friend class Lane;
+  friend void wake(Component* target, Cycle now);
+  friend void settle(const Component* target);
+
+  Lane* lane_ = nullptr;    ///< the lane clocking this one (null: none)
+  std::uint32_t slot_ = 0;  ///< its index in that lane
   std::string name_;
 };
 

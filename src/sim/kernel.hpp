@@ -5,34 +5,30 @@
 // requirement (MBPTA needs exact reproducibility from a seed), so there is
 // no event heap and no unordered container anywhere on the tick path.
 //
-// Quiet cycles are not ticked: after every executed cycle the kernel jumps
-// to the earliest component horizon. The cycles in between are pure
-// countdowns that every component folds with skip() (see sim::Component);
-// a component without a horizon is ticked every cycle, and stop
-// predicates are polled after executed cycles only. Results are
-// identical to ticking every cycle, which step() still does -- it is the
-// oracle the skip-parity tests compare run_until against.
+// Every component runs on its own clock (see sim::Component and
+// sim::Lane): an executed cycle ticks only the components due in it, and
+// the kernel then jumps to the earliest cached horizon -- a min over a
+// small array, no virtual call. A component that is not due lags behind
+// and is folded with skip() when something wakes or reads it, or when
+// the run stops. A component without a horizon is ticked every cycle,
+// and stop predicates are polled after executed cycles only. Results are
+// identical to ticking every component every cycle, which step() still
+// does -- it is the oracle the skip-parity tests compare run_until
+// against, beside hold_components_current().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 #include "sim/clock.hpp"
 #include "sim/component.hpp"
+#include "sim/lane.hpp"
 
 namespace cbus::sim {
-
-/// The kernels' quiescence jump, after cycle `now` was executed: returns
-/// the next cycle to execute -- the minimum of the components' horizons,
-/// clamped to `limit` and at least now + 1 -- after every component has
-/// folded the skipped cycles in between.
-[[nodiscard]] Cycle quiesce(std::span<Component* const> components,
-                            Cycle now, Cycle limit);
 
 /// Precondition shared by the kernels' templated run_until: predicates
 /// that can be null (function pointers, std::function) must not be.
@@ -47,9 +43,12 @@ class Kernel {
  public:
   Kernel() = default;
 
+  Kernel(const Kernel&) = delete;  // components point at its lane
+  Kernel& operator=(const Kernel&) = delete;
+
   /// Register a component; ticked in registration order. Kernel does not own
   /// the component; the caller (the platform) guarantees its lifetime.
-  void add(Component& component) { components_.push_back(&component); }
+  void add(Component& component) { lane_.add(component); }
 
   [[nodiscard]] Cycle now() const noexcept { return clock_.now(); }
 
@@ -69,11 +68,16 @@ class Kernel {
     expect_predicate(done);
     const Cycle end = horizon_after(clock_.now(), max_cycles);
     while (clock_.now() < end) {
-      step();
-      if (done()) return true;
-      clock_.advance(quiesce(components_, clock_.now() - 1, end) -
-                     clock_.now());
+      lane_.execute(clock_.now());
+      clock_.advance();
+      ++executed_;
+      if (done()) {
+        lane_.sync(clock_.now());
+        return true;
+      }
+      clock_.advance(lane_.next(end) - clock_.now());
     }
+    lane_.sync(clock_.now());
     return false;
   }
   bool run_until(std::nullptr_t, Cycle) {
@@ -84,24 +88,34 @@ class Kernel {
   /// Execute a single cycle, ticking every component (no skipping).
   void step();
 
+  /// Make every component due in every executed cycle (Lane::hold_current):
+  /// the skip-parity tests' reference. Call before the first cycle.
+  void hold_components_current() { lane_.hold_current(); }
+
   /// Cycles actually ticked; now() minus this is what skipping saved.
   [[nodiscard]] std::uint64_t executed_cycles() const noexcept {
     return executed_;
   }
 
+  /// Component ticks executed (each executed cycle ticks only the due
+  /// components; step() ticks them all).
+  [[nodiscard]] std::uint64_t component_ticks() const noexcept {
+    return lane_.ticks();
+  }
+
   [[nodiscard]] std::size_t component_count() const noexcept {
-    return components_.size();
+    return lane_.components().size();
   }
 
   /// Registered components in tick order (the batched campaign path
   /// re-registers them into a BatchKernel lane).
   [[nodiscard]] std::span<Component* const> components() const noexcept {
-    return components_;
+    return lane_.components();
   }
 
  private:
   Clock clock_;
-  std::vector<Component*> components_;
+  Lane lane_;
   std::uint64_t executed_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "cache/replacement.hpp"
 #include "cache/set_assoc_cache.hpp"
 #include "cache/store_buffer.hpp"
+#include "rng/permutation.hpp"
 #include "rng/rand_bank.hpp"
 
 namespace cbus::cache {
@@ -315,6 +317,101 @@ TEST(Cache, RandomPlacementChangesConflictsAcrossSeeds) {
   // 16 sets -> expect ~4/64 conflicts; definitely not all or none.
   EXPECT_GT(conflict_seeds, 0);
   EXPECT_LT(conflict_seeds, 20);
+}
+
+
+// --- victim choice against the per-eviction vector form ---------------------
+
+/// The cache's allocation path as it used to be written: a fresh
+/// std::vector<WayMeta> per eviction handed to its own policy instance,
+/// seeded from a RandBank exactly like SetAssocCache's. Lookups, LRU
+/// stamps and fills follow SetAssocCache::access.
+class ReferenceCache {
+ public:
+  ReferenceCache(const CacheConfig& config, rng::RandBank& bank)
+      : config_(config), placement_seed_(bank.derive_seed()),
+        lines_(config.n_lines()), metas_(config.n_lines()) {
+    if (config.replacement == ReplacementKind::kLru) {
+      policy_ = std::make_unique<LruReplacement>();
+    } else {
+      policy_ = std::make_unique<RandomReplacement>(bank.open("ref.repl"));
+    }
+  }
+
+  AccessResult access(Addr addr) {
+    const Addr line = addr / config_.line_bytes;
+    const std::uint32_t set =
+        config_.placement == PlacementKind::kModulo
+            ? modulo_index(line, config_.n_sets())
+            : random_hash_index(line, placement_seed_, config_.n_sets());
+    const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
+    AccessResult result;
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (metas_[base + w].valid && lines_[base + w] == line) {
+        metas_[base + w].last_use = ++stamp_;
+        result.hit = true;
+        return result;
+      }
+    }
+    std::size_t slot = base + config_.ways;
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (!metas_[base + w].valid) {
+        slot = base + w;
+        break;
+      }
+    }
+    if (slot == base + config_.ways) {
+      std::vector<WayMeta> metas(config_.ways);
+      for (std::uint32_t w = 0; w < config_.ways; ++w) {
+        metas[w] = metas_[base + w];
+      }
+      slot = base + policy_->victim(metas);
+      result.victim_valid = true;
+      result.victim_line = lines_[slot];
+    }
+    lines_[slot] = line;
+    metas_[slot].valid = true;
+    metas_[slot].last_use = ++stamp_;
+    result.filled = true;
+    return result;
+  }
+
+ private:
+  CacheConfig config_;
+  std::uint64_t placement_seed_;
+  std::vector<Addr> lines_;
+  std::vector<WayMeta> metas_;
+  std::unique_ptr<ReplacementPolicy> policy_;
+  std::uint64_t stamp_ = 0;
+};
+
+TEST(SetAssocCache, VictimsMatchThePerEvictionVectorForm) {
+  for (const ReplacementKind repl :
+       {ReplacementKind::kLru, ReplacementKind::kRandom}) {
+    for (const PlacementKind placement :
+         {PlacementKind::kModulo, PlacementKind::kRandomHash}) {
+      const CacheConfig cfg{.size_bytes = 2048, .line_bytes = 32, .ways = 4,
+                            .placement = placement, .replacement = repl};
+      rng::RandBank bank_a(77);
+      rng::RandBank bank_b(77);
+      SetAssocCache cache(cfg, bank_a, "ref");
+      ReferenceCache reference(cfg, bank_b);
+      rng::RandBank addrs(5);
+      rng::RandChannel draw = addrs.open("addrs");
+      std::uint64_t evictions = 0;
+      for (int i = 0; i < 20'000; ++i) {
+        const Addr addr = static_cast<Addr>(rng::uniform_below(draw, 512) * 32);
+        const AccessResult got = cache.access(addr, true, false);
+        const AccessResult want = reference.access(addr);
+        ASSERT_EQ(got.hit, want.hit) << i;
+        ASSERT_EQ(got.victim_valid, want.victim_valid) << i;
+        ASSERT_EQ(got.victim_line, want.victim_line) << i;
+        evictions += got.victim_valid ? 1 : 0;
+      }
+      EXPECT_GT(evictions, 10'000u);
+      EXPECT_EQ(cache.stats().evictions, evictions);
+    }
+  }
 }
 
 }  // namespace

@@ -414,6 +414,22 @@ TEST(Runner, SegmentClocksTickOnlyTheDueSegments) {
   EXPECT_LT(t.segment_cycles_executed, 9 * t.executed_cycles / 4);
 }
 
+TEST(Runner, ComponentClocksTickOnlyTheDueComponents) {
+  // Each kernel component runs on its own clock: an executed lane-cycle
+  // of a single-bus WCET `con` slice (TuA core, three virtual
+  // contenders, bus) ticks the components whose horizon arrived, not all
+  // five. Ticking every component in every executed cycle must not
+  // quietly come back.
+  const ExperimentSpec spec = parse(
+      "scenario = con\nkernel = canrdr\nsetup = cba\nruns = 8\n"
+      "batch = 8\n");
+  const auto result = run_experiment(spec, /*threads=*/1);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  const obs::Telemetry& t = result.telemetry;
+  EXPECT_GT(t.component_ticks_executed, 0u);
+  EXPECT_LT(t.component_ticks_executed, 5 * t.executed_cycles / 2);
+}
+
 TEST(Runner, FailedJobStaysAJobFailureUnderBatching) {
   // A per-slice failure must surface as the job's error (not a throw),
   // identically for any batch/thread count.

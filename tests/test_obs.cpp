@@ -275,6 +275,48 @@ TEST(Timeline, SegmentedCorunTraceMatchesEverySegmentHeldCurrent) {
   EXPECT_TRUE(lazy == trace(true));
 }
 
+/// The tracer polls credit state every cycle while the bus, the virtual
+/// contenders and the cores run on their own clocks: the whole capture
+/// must equal the one taken with every kernel component held current
+/// (ticked in every cycle).
+std::string single_bus_trace(const std::string& config_text,
+                             std::uint32_t corunners, bool hold_current) {
+  std::istringstream text(config_text);
+  const platform::PlatformConfig config = platform::parse_config(text);
+  std::unique_ptr<cpu::OpStream> tua = workloads::make_eembc("canrdr");
+  tua->reset(7);
+  std::vector<std::unique_ptr<cpu::OpStream>> streams;
+  std::vector<cpu::OpStream*> ptrs;
+  for (MasterId m = 1; m <= corunners; ++m) {
+    streams.push_back(workloads::make_eembc(m % 2 == 0 ? "matrix" : "a2time"));
+    streams.back()->reset(m);
+    ptrs.push_back(streams.back().get());
+  }
+  platform::Multicore machine(config, 7, *tua, ptrs);
+  obs::Timeline timeline(obs::Timeline::Config{.counter_stride = 8});
+  timeline.attach(machine);
+  if (hold_current) machine.kernel().hold_components_current();
+  (void)machine.run(60'000);
+  std::ostringstream out;
+  timeline.write_json(out);
+  return out.str();
+}
+
+TEST(Timeline, SingleBusConTraceMatchesEveryComponentHeldCurrent) {
+  const std::string text = "cores = 4\nmode = wcet\nsetup = cba\n";
+  const std::string lazy = single_bus_trace(text, 0, false);
+  EXPECT_NE(lazy.find("\"credit m3\""), std::string::npos);
+  EXPECT_TRUE(lazy == single_bus_trace(text, 0, true));
+}
+
+TEST(Timeline, AdaptiveCorunTraceMatchesEveryComponentHeldCurrent) {
+  const std::string text =
+      "cores = 4\nsetup = hcba\ncontroller = adaptive:1024\n";
+  const std::string lazy = single_bus_trace(text, 3, false);
+  EXPECT_NE(lazy.find("\"demand m3\""), std::string::npos);
+  EXPECT_TRUE(lazy == single_bus_trace(text, 3, true));
+}
+
 TEST(Timeline, TraceRunOutOfRangeIsRejected) {
   ExperimentSpec spec = hcba_spec();
   spec.trace_path = temp_path("obs_reject_trace.json");

@@ -1,11 +1,14 @@
-// Skip-parity tests: the kernels' quiescence skipping (sim::Component's
-// next_activity/skip contract) must reproduce per-cycle stepping exactly.
-// The oracle is Kernel::step(), which ticks every component every cycle,
-// on a machine whose segmented interconnect (if any) holds every segment
-// current -- so neither the kernel nor the interconnect's per-segment
-// clocks skip anything. Each case runs the same machine once as the
-// oracle and once through the skipping run_until and compares everything
-// a run exposes, field by field: the RunResult and its Record, bus and
+// Skip-parity tests: the kernels' quiescence skipping and per-component
+// clocks (sim::Component's next_activity/skip/wake contract) must
+// reproduce per-cycle stepping exactly. The oracle is Kernel::step(),
+// which ticks every component every cycle, on a machine whose segmented
+// interconnect (if any) holds every segment current -- so neither the
+// kernel nor the interconnect's per-segment clocks skip anything. Each
+// case runs the same machine as the oracle, through the skipping
+// run_until on lazy per-component clocks, and through run_until with
+// every component held current (due in every cycle: the wakes and folds
+// still run, nothing lags), and compares everything a run exposes, field
+// by field: the RunResult and its Record, bus and
 // per-core statistics, credit values and underflows, and on segmented
 // topologies the per-segment statistics and credit filters, bridge depth
 // accounting, backpressure and the hop histogram.
@@ -33,6 +36,7 @@
 #include "rng/splitmix64.hpp"
 #include "sim/batch_kernel.hpp"
 #include "sim/kernel.hpp"
+#include "workloads/eembc_like.hpp"
 #include "workloads/kernel_stream.hpp"
 
 namespace cbus::platform {
@@ -90,11 +94,14 @@ TEST(SkipKernel, TheEarliestHorizonWinsAndDefaultComponentsTickEveryCycle) {
   kernel.add(fast);
   kernel.run(31);
   EXPECT_EQ(fast.ticks, 11u);  // cycles 0, 3, ..., 30
-  EXPECT_EQ(slow.ticks, 11u);  // every executed cycle ticks everyone
-  EXPECT_EQ(slow.skipped + slow.ticks, 31u);
+  EXPECT_EQ(slow.ticks, 1u);   // only at its own horizons: cycle 0
+  EXPECT_EQ(slow.skipped + slow.ticks, 31u);  // folded when the run stopped
   EXPECT_EQ(kernel.now(), 31u);
+  EXPECT_EQ(kernel.executed_cycles(), 11u);
+  EXPECT_EQ(kernel.component_ticks(), 12u);
 
-  // A component without a horizon (the default now + 1) disables skipping.
+  // A component without a horizon (the default now + 1) executes every
+  // cycle; the others still tick only at their own horizons.
   struct Plain final : sim::Component {
     Plain() : sim::Component("plain") {}
     void tick(Cycle) override { ++ticks; }
@@ -106,7 +113,79 @@ TEST(SkipKernel, TheEarliestHorizonWinsAndDefaultComponentsTickEveryCycle) {
   k2.add(plain);
   k2.run(50);
   EXPECT_EQ(plain.ticks, 50u);
-  EXPECT_EQ(idle.skipped, 0u);
+  EXPECT_EQ(k2.executed_cycles(), 50u);
+  EXPECT_EQ(idle.ticks, 1u);
+  EXPECT_EQ(idle.skipped, 49u);
+}
+
+/// Quiet until woken; then due once in the next cycle.
+class Sleeper final : public sim::Component {
+ public:
+  Sleeper() : sim::Component("sleeper") {}
+  void tick(Cycle now) override {
+    ++ticks;
+    last = now;
+    woken = false;
+  }
+  [[nodiscard]] Cycle next_activity(Cycle now) const override {
+    return woken ? now + 1 : sim::kNever;
+  }
+  void skip(Cycle k) override { skipped += k; }
+
+  bool woken = false;
+  std::uint64_t ticks = 0;
+  Cycle skipped = 0;
+  Cycle last = 0;
+};
+
+/// Due at cycle `at` only, where it writes into both sleepers.
+class Writer final : public sim::Component {
+ public:
+  Writer(Cycle at, Sleeper& before, Sleeper& after)
+      : sim::Component("writer"), at_(at), before_(before), after_(after) {}
+  void tick(Cycle now) override {
+    if (now != at_) return;
+    sim::wake(&before_, now);
+    sim::wake(&after_, now);
+    before_skipped = before_.skipped;
+    after_skipped = after_.skipped;
+    before_.woken = after_.woken = true;
+  }
+  [[nodiscard]] Cycle next_activity(Cycle now) const override {
+    return now < at_ ? at_ : sim::kNever;
+  }
+
+  Cycle before_skipped = 0;
+  Cycle after_skipped = 0;
+
+ private:
+  Cycle at_;
+  Sleeper& before_;
+  Sleeper& after_;
+};
+
+TEST(SkipKernel, WakeFoldsTheTargetBeforeTheWrite) {
+  // The sleeper registered before the writer has had its turn in the
+  // writing cycle: it is folded through that cycle and re-asked after
+  // it. The one registered after is folded up to the cycle and ticked in
+  // it.
+  Sleeper before;
+  Sleeper after;
+  Writer writer(10, before, after);
+  sim::Kernel kernel;
+  kernel.add(before);
+  kernel.add(writer);
+  kernel.add(after);
+  kernel.run(20);
+  EXPECT_EQ(writer.before_skipped, 10u);  // cycles 1..10
+  EXPECT_EQ(writer.after_skipped, 9u);    // cycles 1..9
+  EXPECT_EQ(after.last, 10u);
+  EXPECT_EQ(before.last, 11u);
+  EXPECT_EQ(before.ticks, 2u);
+  EXPECT_EQ(after.ticks, 2u);
+  EXPECT_EQ(before.skipped + before.ticks, 20u);
+  EXPECT_EQ(after.skipped + after.ticks, 20u);
+  EXPECT_EQ(kernel.executed_cycles(), 3u);  // cycles 0, 10 and 11
 }
 
 TEST(SkipKernel, NeverHorizonJumpsStraightToTheBudget) {
@@ -252,6 +331,7 @@ struct Case {
   bool all = false;             ///< run_all (every core) instead of run
   bool skips = true;            ///< every component has a horizon
   Cycle max_cycles = 400'000;
+  std::string eembc;            ///< TuA kernel (empty: the skip-tua profile)
 };
 
 /// One machine with its streams (streams must outlive the machine).
@@ -262,7 +342,11 @@ struct Rig {
 
   Rig(const Case& c, std::uint64_t seed) {
     rng::SplitMix64 seeds(seed);
-    tua = std::make_unique<workloads::KernelStream>(tua_profile());
+    if (c.eembc.empty()) {
+      tua = std::make_unique<workloads::KernelStream>(tua_profile());
+    } else {
+      tua = workloads::make_eembc(c.eembc);
+    }
     tua->reset(seeds.next());
     std::vector<cpu::OpStream*> ptrs;
     for (std::uint32_t m = 1; m <= c.corunners; ++m) {
@@ -454,26 +538,34 @@ struct ContenderRig {
 };
 
 TEST(SkipContenders, LatchesAndGrantsMatchSteppingAtEveryBudget) {
-  for (const Cycle budget : {Cycle{1}, Cycle{37}, Cycle{500}, Cycle{4321}}) {
+  for (const Cycle budget :
+       {Cycle{1}, Cycle{37}, Cycle{500}, Cycle{4321}, Cycle{9973}}) {
     ContenderRig stepped;
     ContenderRig skipped;
+    ContenderRig held;
+    held.kernel.hold_components_current();
     for (Cycle c = 0; c < budget; ++c) stepped.kernel.step();
     skipped.kernel.run(budget);
+    held.kernel.run(budget);
     if (budget > 100) {
       EXPECT_LT(skipped.kernel.executed_cycles(), budget);
     }
-    for (MasterId m = 0; m < 4; ++m) {
-      EXPECT_EQ(stepped.contenders[m]->comp(), skipped.contenders[m]->comp())
-          << budget << " contender " << m;
-      EXPECT_EQ(stepped.contenders[m]->grants(),
-                skipped.contenders[m]->grants())
-          << budget << " contender " << m;
-      EXPECT_EQ(stepped.filter.state().budget(m),
-                skipped.filter.state().budget(m))
-          << budget << " contender " << m;
+    EXPECT_EQ(held.kernel.executed_cycles(), budget);
+    for (const ContenderRig* rig : {&skipped, &held}) {
+      const std::string where = "budget " + std::to_string(budget) +
+                                (rig == &held ? " held" : "");
+      for (MasterId m = 0; m < 4; ++m) {
+        EXPECT_EQ(stepped.contenders[m]->comp(), rig->contenders[m]->comp())
+            << where << " contender " << m;
+        EXPECT_EQ(stepped.contenders[m]->grants(),
+                  rig->contenders[m]->grants())
+            << where << " contender " << m;
+        EXPECT_EQ(stepped.filter.state().budget(m),
+                  rig->filter.state().budget(m))
+            << where << " contender " << m;
+      }
+      expect_same_bus(stepped.bus.statistics(), rig->bus.statistics(), where);
     }
-    expect_same_bus(stepped.bus.statistics(), skipped.bus.statistics(),
-                    "budget " + std::to_string(budget));
   }
 }
 
@@ -481,26 +573,79 @@ TEST(SkipContenders, LatchesAndGrantsMatchSteppingAtEveryBudget) {
 
 constexpr std::uint64_t kSeeds[] = {1, 0xC0FFEE, 90'001};
 
-/// Returns the skipping runs' credit underflows, summed over seeds.
+/// Runs `m` the way `c` stops: every core (run_all) or the TuA (run).
+RunResult lazy_run(Multicore& m, const Case& c) {
+  return c.all ? m.run_all(c.max_cycles) : m.run(c.max_cycles);
+}
+
+/// Lazy clocks and held-current clocks against the stepping oracle.
+/// Returns the lazy runs' credit underflows, summed over seeds.
 std::uint64_t expect_parity(const Case& c) {
   std::uint64_t underflows = 0;
   for (const std::uint64_t seed : kSeeds) {
     const std::string where = c.name + " seed " + std::to_string(seed);
     Rig stepped(c, seed);
     Rig skipped(c, seed);
+    Rig held(c, seed);
+    held.machine->kernel().hold_components_current();
     const RunResult rs = step_run(*stepped.machine, c.all, c.max_cycles);
-    const RunResult rk = c.all ? skipped.machine->run_all(c.max_cycles)
-                               : skipped.machine->run(c.max_cycles);
+    const RunResult rk = lazy_run(*skipped.machine, c);
+    const RunResult rh = lazy_run(*held.machine, c);
     expect_same_run(*stepped.machine, rs, *skipped.machine, rk, where);
+    expect_same_run(*stepped.machine, rs, *held.machine, rh, where + " held");
     const sim::Kernel& kernel = skipped.machine->kernel();
+    const std::uint64_t every = kernel.executed_cycles() *
+                                kernel.component_count();
     if (c.skips) {
       EXPECT_LT(kernel.executed_cycles(), kernel.now()) << where;
+      EXPECT_LT(kernel.component_ticks(), every) << where;
     } else {
       EXPECT_EQ(kernel.executed_cycles(), kernel.now()) << where;
     }
+    // Held current: every cycle executes and ticks every component.
+    const sim::Kernel& lockstep = held.machine->kernel();
+    EXPECT_EQ(lockstep.executed_cycles(), lockstep.now()) << where;
+    EXPECT_EQ(lockstep.component_ticks(),
+              lockstep.executed_cycles() * lockstep.component_count())
+        << where;
     underflows += rk.credit_underflows;
   }
   return underflows;
+}
+
+/// Reads in the middle of a run fold the lagging clocks without
+/// perturbing them: stop the lazy and the held-current runs at several
+/// odd budgets, read everything there against the oracle stepped to the
+/// same cycle, carry on, and finish equal to a run nobody read.
+void expect_mid_run_reads(const Case& c) {
+  constexpr Cycle kBudgets[] = {1, 97, 1'000, 4'321, 12'345};
+  Rig read(c, kSeeds[1]);
+  Rig held(c, kSeeds[1]);
+  held.machine->kernel().hold_components_current();
+  for (const Cycle budget : kBudgets) {
+    Rig oracle(c, kSeeds[1]);
+    (void)step_run(*oracle.machine, false, budget);
+    const RunResult ro = oracle.machine->harvest(false, budget);
+    for (Rig* rig : {&read, &held}) {
+      sim::Kernel& kernel = rig->machine->kernel();
+      kernel.run(budget - kernel.now());
+      ASSERT_EQ(kernel.now(), budget);
+      const std::string where = c.name + " at " + std::to_string(budget) +
+                                (rig == &held ? " held" : "");
+      // The interconnect's own reader first, then the platform harvest
+      // (filters, Record).
+      expect_same_bus(rig->machine->bus_port().statistics(),
+                      oracle.machine->bus_port().statistics(), where);
+      const RunResult rr = rig->machine->harvest(false, budget);
+      expect_same_run(*oracle.machine, ro, *rig->machine, rr, where);
+    }
+  }
+  const Cycle end = read.machine->kernel().now();
+  Rig unread(c, kSeeds[1]);
+  unread.machine->kernel().run(end);
+  const RunResult ru = unread.machine->harvest(false, end);
+  const RunResult rr = read.machine->harvest(false, end);
+  expect_same_run(*unread.machine, ru, *read.machine, rr, c.name + " unread");
 }
 
 // Single bus, operation mode: real co-runners under each arbiter family.
@@ -544,6 +689,33 @@ TEST(SkipParity, WcetModeContenders) {
                    std::string("cores = 4\nmode = wcet\nsetup = ") + setup +
                        "\n"});
   }
+}
+
+// The Table-I protocol on EEMBC-like TuAs at 4 and 8 cores: long runs of
+// COMP-latch contenders holding the bus while the TuA waits.
+TEST(SkipParity, WcetModeEembcKernels) {
+  for (const char* kernel : {"canrdr", "matrix"}) {
+    for (const char* setup : {"rp", "cba", "hcba"}) {
+      for (const char* cores : {"4", "8"}) {
+        Case c{std::string("wcet ") + kernel + " " + setup + " x" + cores,
+               std::string("cores = ") + cores + "\nmode = wcet\nsetup = " +
+                   setup + "\n"};
+        c.eembc = kernel;
+        c.max_cycles = 2'000'000;
+        expect_parity(c);
+      }
+    }
+  }
+}
+
+// Mid-run reads on the single bus: the contenders', the bus's and the
+// controller's clocks lag between their horizons.
+TEST(SkipParity, MidRunReadsMatchTheOracle) {
+  expect_mid_run_reads({"wcet cba", "cores = 4\nmode = wcet\nsetup = cba\n"});
+  expect_mid_run_reads({"adaptive corun",
+                        "cores = 4\nsetup = hcba\ncontroller = "
+                        "adaptive:512\n",
+                        3});
 }
 
 // The split bus has no horizon: ticked every cycle, same results.
@@ -592,36 +764,10 @@ TEST_P(SkipParityTopology, MatchesStepping) {
   expect_parity({name() + " con", shape() + "mode = wcet\nsetup = hcba\n"});
 }
 
-// Reads in the middle of a run settle the segments' clocks without
-// perturbing them: stop the skipping run at several budgets, read every
-// statistic there against the oracle stepped to the same cycle, carry
-// on, and finish equal to a run nobody read.
+// Reads in the middle of a run settle the segments' clocks too.
 TEST_P(SkipParityTopology, MidRunReadsMatchTheOracle) {
-  const Case c{name() + " hcba", shape() + "setup = hcba\n", cores() - 1};
-  constexpr Cycle kBudgets[] = {1, 97, 1'000, 4'321, 12'345};
-  Rig read(c, kSeeds[1]);
-  sim::Kernel& kernel = read.machine->kernel();
-  for (const Cycle budget : kBudgets) {
-    kernel.run(budget - kernel.now());
-    ASSERT_EQ(kernel.now(), budget);
-    Rig oracle(c, kSeeds[1]);
-    (void)step_run(*oracle.machine, false, budget);
-    const std::string where = c.name + " at " + std::to_string(budget);
-    // The interconnect's own readers first, then the platform harvest
-    // (segment filters, Record).
-    const bus::SegmentedInterconnect& lazy = *read.machine->segmented();
-    const bus::SegmentedInterconnect& eager = *oracle.machine->segmented();
-    expect_same_bus(lazy.statistics(), eager.statistics(), where);
-    const RunResult rr = read.machine->harvest(false, budget);
-    const RunResult ro = oracle.machine->harvest(false, budget);
-    expect_same_run(*oracle.machine, ro, *read.machine, rr, where);
-  }
-  const Cycle end = kernel.now();
-  Rig unread(c, kSeeds[1]);
-  unread.machine->kernel().run(end);
-  const RunResult ru = unread.machine->harvest(false, end);
-  const RunResult rr = read.machine->harvest(false, end);
-  expect_same_run(*unread.machine, ru, *read.machine, rr, c.name + " unread");
+  expect_mid_run_reads({name() + " hcba", shape() + "setup = hcba\n",
+                        cores() - 1});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -679,25 +825,33 @@ TEST(SkipParity, BatchLanesMatchTheSteppingOracle) {
   const Case c{"batch mesh", "cores = 8\nsetup = hcba\narbiter = rr\n"
                "topology = mesh:2x2\nbridge_depth = 1\n", 7};
   for (const Cycle stripe : {Cycle{1}, Cycle{64}, Cycle{512}}) {
-    std::vector<std::unique_ptr<Rig>> lanes;
-    sim::BatchKernel batch(3, stripe);
-    for (std::size_t l = 0; l < 3; ++l) {
-      lanes.push_back(std::make_unique<Rig>(c, 100 + l));
-      lanes.back()->machine->attach(batch, l);
-    }
-    const auto fired = batch.run_until(
-        [&](std::size_t l) { return lanes[l]->machine->tua_done(); },
-        c.max_cycles);
-    EXPECT_LT(batch.executed_cycles(), batch.simulated_cycles());
-    for (std::size_t l = 0; l < 3; ++l) {
-      Rig stepped(c, 100 + l);
-      const RunResult rs = step_run(*stepped.machine, false, c.max_cycles);
-      const RunResult rk = lanes[l]->machine->harvest(fired[l], batch.now());
-      const std::string where =
-          "stripe " + std::to_string(stripe) + " lane " + std::to_string(l);
-      EXPECT_EQ(rs.tua_finished, rk.tua_finished) << where;
-      EXPECT_TRUE(rs.record == rk.record) << where;
-      expect_same_core(rs.tua_stats, rk.tua_stats, where);
+    for (const bool hold : {false, true}) {
+      std::vector<std::unique_ptr<Rig>> lanes;
+      sim::BatchKernel batch(3, stripe);
+      for (std::size_t l = 0; l < 3; ++l) {
+        lanes.push_back(std::make_unique<Rig>(c, 100 + l));
+        lanes.back()->machine->attach(batch, l);
+      }
+      if (hold) batch.hold_components_current();
+      const auto fired = batch.run_until(
+          [&](std::size_t l) { return lanes[l]->machine->tua_done(); },
+          c.max_cycles);
+      if (hold) {
+        EXPECT_EQ(batch.executed_cycles(), batch.simulated_cycles());
+      } else {
+        EXPECT_LT(batch.executed_cycles(), batch.simulated_cycles());
+      }
+      for (std::size_t l = 0; l < 3; ++l) {
+        Rig stepped(c, 100 + l);
+        const RunResult rs = step_run(*stepped.machine, false, c.max_cycles);
+        const RunResult rk = lanes[l]->machine->harvest(fired[l], batch.now());
+        const std::string where = "stripe " + std::to_string(stripe) +
+                                  " lane " + std::to_string(l) +
+                                  (hold ? " held" : "");
+        EXPECT_EQ(rs.tua_finished, rk.tua_finished) << where;
+        EXPECT_TRUE(rs.record == rk.record) << where;
+        expect_same_core(rs.tua_stats, rk.tua_stats, where);
+      }
     }
   }
 }
@@ -774,13 +928,18 @@ TEST(SkipController, BudgetsOnAndBetweenEpochEdges) {
                                   std::to_string(seed);
         Rig stepped(c, seed);
         Rig skipped(c, seed);
+        Rig held(c, seed);
+        held.machine->kernel().hold_components_current();
         const RunResult rs = step_run(*stepped.machine, false, budget);
         const RunResult rk = skipped.machine->run(budget);
+        const RunResult rh = held.machine->run(budget);
         EXPECT_FALSE(rk.tua_finished) << where;
         EXPECT_EQ(skipped.machine->kernel().now(), budget) << where;
         EXPECT_EQ(skipped.machine->controller()->stats().epochs, epochs)
             << where;
         expect_same_run(*stepped.machine, rs, *skipped.machine, rk, where);
+        expect_same_run(*stepped.machine, rs, *held.machine, rh,
+                        where + " held");
       }
     }
   }
@@ -934,10 +1093,16 @@ TEST(SkipTelemetry, SlicesReportExecutedAgainstSimulatedLaneCycles) {
   EXPECT_GT(cycles.segment_cycles_executed, 0u);
   EXPECT_LT(cycles.segment_cycles_executed, 4 * cycles.executed);
 
+  // ... and only the due components of the eight cores and the
+  // interconnect.
+  EXPECT_GT(cycles.component_ticks_executed, 0u);
+  EXPECT_LT(cycles.component_ticks_executed, 9 * cycles.executed);
+
   obs::Telemetry telemetry;
   telemetry.executed_cycles = cycles.executed;
   telemetry.simulated_cycles = cycles.simulated;
   telemetry.segment_cycles_executed = cycles.segment_cycles_executed;
+  telemetry.component_ticks_executed = cycles.component_ticks_executed;
   std::ostringstream doc;
   obs::write_telemetry_json(doc, telemetry, "run");
   EXPECT_NE(doc.str().find("\"kernel\": {\"executed_cycles\": " +
@@ -946,6 +1111,8 @@ TEST(SkipTelemetry, SlicesReportExecutedAgainstSimulatedLaneCycles) {
                            std::to_string(cycles.simulated) +
                            ", \"segment_cycles_executed\": " +
                            std::to_string(cycles.segment_cycles_executed) +
+                           ", \"component_ticks_executed\": " +
+                           std::to_string(cycles.component_ticks_executed) +
                            "}"),
             std::string::npos);
 }
