@@ -1,7 +1,5 @@
 #include "core/virtual_contender.hpp"
 
-#include <algorithm>
-
 #include "common/contracts.hpp"
 
 namespace cbus::core {
@@ -56,15 +54,13 @@ Cycle VirtualContender::next_activity(Cycle now) const {
   if (latched) return bus_.can_request(config_.self) ? now + 1 : sim::kNever;
   if (!bus_.has_pending(config_.tua)) return sim::kNever;
   if (credits_ == nullptr) return now + 1;
-  // Cycle now + 1 + j reads BUDGi after j more recovery ticks -- but
-  // not before the transfer granted last ends: the holder pays at least
-  // its recovery, so a budget below the cap stays below it until then.
+  // Cycle now + 1 + j reads BUDGi after j more recovery ticks. Holding
+  // the bus only lowers BUDGi, so assuming recovery is early, never late.
   const MasterId slot = credit_slot();
   bus_.settle();
-  const Cycle recovery =
-      credits_->recovery_cycles(slot, credits_->config().saturation[slot]);
-  const Cycle horizon = sim::horizon_after(now + 1, recovery);
-  return recovery > 0 ? std::max(horizon, charged_until_) : horizon;
+  return sim::horizon_after(
+      now + 1,
+      credits_->recovery_cycles(slot, credits_->config().saturation[slot]));
 }
 
 void VirtualContender::skip(Cycle /*k*/) {
@@ -72,10 +68,9 @@ void VirtualContender::skip(Cycle /*k*/) {
 }
 
 void VirtualContender::on_grant(const bus::BusRequest& /*request*/,
-                                Cycle now, Cycle hold) {
+                                Cycle /*now*/, Cycle /*hold*/) {
   // COMPi is reset whenever core i is granted access to the bus (Table I).
   comp_ = false;
-  charged_until_ = now + hold;
   ++grants_;
 }
 

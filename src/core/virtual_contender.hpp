@@ -56,8 +56,7 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
   /// Quiet while its request is pending or holding the bus; otherwise
   /// due next cycle -- except a COMP-latch contender waiting for its
   /// budget to saturate (the TuA pending), which wakes on the cycle it
-  /// may first read BUDGi at the cap (never while it holds the bus: the
-  /// holder's BUDGi only falls).
+  /// first reads BUDGi at the cap.
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
 
   /// A quiet always-compete tick only re-asserts COMP.
@@ -82,9 +81,6 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
   const CreditState* credits_;
   bool comp_ = false;
   std::uint64_t grants_ = 0;
-  /// First cycle past the transfer granted last: BUDGi is charged as the
-  /// bus holder before it.
-  Cycle charged_until_ = 0;
 };
 
 }  // namespace cbus::core

@@ -1,6 +1,5 @@
 #include "cpu/in_order_core.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "common/contracts.hpp"
@@ -154,20 +153,18 @@ Cycle InOrderCore::next_activity(Cycle now) const {
   if (done_ || waiting_ != Wait::kNone) return sim::kNever;
   // A buffered store not yet on the bus tries to drain every cycle.
   if (!store_buffer_.empty() && !store_in_flight_) return now + 1;
-  // The first cycle past the compute countdown looks at the op...
-  const Cycle op_cycle = now + 1 + compute_remaining_;
-  if (!store_in_flight_) return op_cycle;
-  // ...unless the op stalls behind the store in flight: then every cycle
-  // until that store's on_complete (a wake) is quiet.
+  if (compute_remaining_ > 0) return now + 1 + compute_remaining_;
+  // From here on every quiet case is a stall behind the store in flight.
+  if (!store_in_flight_) return now + 1;
   if (!current_op_.has_value()) return sim::kNever;
   switch (current_op_->kind) {
     case MemOpKind::kLoad:
       return miss_recorded_ && !store_buffer_.contains_line(
                                    current_op_->addr, config_.dl1.line_bytes)
                  ? sim::kNever
-                 : op_cycle;
+                 : now + 1;
     case MemOpKind::kStore:
-      return store_buffer_.full() ? sim::kNever : op_cycle;
+      return store_buffer_.full() ? sim::kNever : now + 1;
     case MemOpKind::kAtomic:
       return sim::kNever;
   }
@@ -178,15 +175,11 @@ void InOrderCore::skip(Cycle k) {
   if (done_) return;
   stats_.cycles += k;
   if (waiting_ == Wait::kNone && compute_remaining_ > 0) {
-    const auto compute =
-        static_cast<std::uint32_t>(std::min<Cycle>(k, compute_remaining_));
-    compute_remaining_ -= compute;
-    stats_.compute_cycles += compute;
-    k -= compute;
-  }
-  // The rest (possibly all) stalls behind the bus or a full store buffer.
-  if (waiting_ == Wait::kNone && current_op_.has_value() &&
-      current_op_->kind == MemOpKind::kStore) {
+    CBUS_ASSERT(compute_remaining_ >= k);
+    compute_remaining_ -= static_cast<std::uint32_t>(k);
+    stats_.compute_cycles += k;
+  } else if (waiting_ == Wait::kNone && current_op_.has_value() &&
+             current_op_->kind == MemOpKind::kStore) {
     stats_.sb_stall_cycles += k;
   } else {
     stats_.bus_stall_cycles += k;

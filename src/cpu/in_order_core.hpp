@@ -40,13 +40,11 @@ class InOrderCore final : public sim::Component, public bus::BusMaster {
   void tick(Cycle now) override;
 
   /// Quiet through a compute countdown (due the cycle after it ends) and
-  /// indefinitely while blocked on the bus or, once the countdown ends,
-  /// behind a store in flight (an atomic, a store into a full buffer, a
-  /// load that missed) -- those wake through on_complete.
+  /// indefinitely while blocked on the bus or a full store buffer with a
+  /// drain in flight -- those wake through on_complete.
   [[nodiscard]] Cycle next_activity(Cycle now) const override;
 
-  /// Cycle and stall/compute counters fold linearly: compute cycles
-  /// first, then stall cycles.
+  /// Cycle and stall/compute counters fold linearly.
   void skip(Cycle k) override;
 
   void on_grant(const bus::BusRequest& request, Cycle now,

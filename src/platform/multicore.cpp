@@ -230,11 +230,9 @@ void Multicore::attach(sim::BatchKernel& batch, std::size_t lane) {
 }
 
 RunResult Multicore::collect(bool finished, Cycle executed) const {
-  // Everything below is read directly: fold every component -- and the
-  // interconnect's lazily clocked parts -- up to its lane's clock.
-  for (const auto& core : cores_) sim::settle(core.get());
-  for (const auto& vc : virtual_contenders_) sim::settle(vc.get());
-  sim::settle(controller_.get());
+  // Every path here leaves the kernel components at their lane's clock
+  // (Lane::sync after run_until, or Kernel::step); the interconnect's
+  // lazily clocked parts still need folding before the reads below.
   bus_->settle();
   RunResult result;
   result.tua_finished = finished && cores_.front()->done();

@@ -4,7 +4,9 @@
 Builds a parent revision from ``git archive`` into a scratch directory
 and runs ``perfbench/run.py --trace 0`` for N pairs per workload, the
 parent and the working tree alternating which side runs first, so slow
-drift of a shared host hits both sides alike. Per workload and end-to-end
+drift of a shared host hits both sides alike. Every run lasts the
+benchmark's own ``run_seconds`` (BENCHMARK.json), so the pairs measure
+what the benchmark measures. Per workload and end-to-end
 metric it prints each side's median and q1-q3, the change/parent ratio
 of the medians, how many pairs the change won (by the metric's
 direction in BENCHMARK.json) and a two-sided sign-test p-value.
@@ -15,7 +17,7 @@ parent's q1-q3 spread; otherwise it reads ``same``.
 
 Usage:
   ab_compare.py --parent REF [--workload W ...] [--pairs 10]
-                [--seconds 10] [--seed SEED] [--scratch DIR]
+                [--seed SEED] [--scratch DIR]
   ab_compare.py --self-test
 
 No dependencies beyond the standard library, no network. The parent's
@@ -39,21 +41,18 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("wcet_con", "mesh_corun", "adaptive_stream")
-# Used when BENCHMARK.json is missing: the metric directions of the
-# repository benchmark.
+# The self-test's metric directions (those of the repository benchmark).
 DEFAULT_DIRECTIONS = {"runs_per_sec": "higher", "ns_per_sim_cycle": "lower",
                       "peak_rss_mb": "lower", "setup_s": "lower",
                       "ok_frac": "higher"}
 
 
-def directions(root):
-    """Metric name -> "lower"/"higher" from the end_to_end table."""
-    path = os.path.join(root, "BENCHMARK.json")
-    if not os.path.isfile(path):
-        return dict(DEFAULT_DIRECTIONS)
-    with open(path) as f:
+def benchmark(root):
+    """(run_seconds, {metric: "lower"/"higher"}) from BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    return (float(spec["run_seconds"]),
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
 
 
 def quartiles(xs):
@@ -155,14 +154,15 @@ def run_side(checkout, workload, seconds, seed):
 def run_pairs(args):
     scratch = os.path.abspath(args.scratch)
     parent = export_parent(args.parent, scratch)
-    dirs = directions(ROOT)
+    seconds, dirs = benchmark(ROOT)
+    print("each run lasts %g s (BENCHMARK.json run_seconds)" % seconds)
     for workload in args.workload or WORKLOADS:
         samples = []
         for i in range(args.pairs):
             order = [("parent", parent), ("change", ROOT)]
             if i % 2 == 1:
                 order.reverse()
-            got = {side: run_side(checkout, workload, args.seconds, args.seed)
+            got = {side: run_side(checkout, workload, seconds, args.seed)
                    for side, checkout in order}
             samples.append((got["parent"], got["change"]))
             sys.stderr.write("%s pair %d/%d done\n"
@@ -214,7 +214,6 @@ def main():
     parser.add_argument("--parent", help="git ref of the parent revision")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--scratch", default=os.path.join(
         tempfile.gettempdir(), "ab_compare"))
